@@ -6,6 +6,7 @@ and blockage — and the headline guarantee: same (config, seed) ⇒
 byte-identical report and event-trace digest.
 """
 
+import hashlib
 import math
 import pickle
 from dataclasses import replace
@@ -212,6 +213,39 @@ class TestRunNetsim:
         assert report.arrivals > 40  # initial cohort + Poisson stream
         assert report.departures > 0
         assert report.tags_total == report.arrivals
+
+    #: Seed-0 golden pins for a churning, blocked discovery run that
+    #: drains early: protocol -> (trace digest, sha256 of the
+    #: protocol-4 report pickle).
+    _CHURN_GOLDEN = {
+        "aloha": (
+            "07942b9f971c46f3f96f669e46bff4495bbde4c223c4e71d5e0291ed3e2d790b",
+            "0da665802f63cca85bbf4a4d1962986dd51c03d937223361ab18830c9d67dd0f",
+        ),
+        "inventory": (
+            "5dbb38e0f402b56a5bbe84c07cf336a7b96960148c5aeedf5872afe0fb8b557f",
+            "847ca9ea6bceff72169367eb8cfbf3fff89e68d09b5bf20e4b2733505ad40ada",
+        ),
+    }
+
+    @pytest.mark.parametrize("protocol", sorted(_CHURN_GOLDEN))
+    def test_churn_drain_matches_the_pins(self, protocol):
+        config = NetSimConfig(
+            protocol=protocol,
+            num_tags=40,
+            num_slots=3000,
+            arrival_rate_hz=300.0,
+            mean_dwell_s=0.05,
+            blockage_rate_hz=20.0,
+            stop_when_drained=True,
+        )
+        report = run_netsim(config, seed=0)
+        assert report.departures > 0
+        assert report.slots_run < config.num_slots  # the drain stop fired
+        digest, report_sha = self._CHURN_GOLDEN[protocol]
+        assert report.trace_digest == digest
+        pickled = pickle.dumps(report, protocol=4)
+        assert hashlib.sha256(pickled).hexdigest() == report_sha
 
     def test_blockage_degrades_delivery(self):
         clear_cfg = NetSimConfig(
