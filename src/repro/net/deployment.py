@@ -323,8 +323,7 @@ class Deployment:
     def snr_to_ap(self, x: float, y: float, ap: int) -> float:
         """Scalar effective SINR of one tag toward one AP."""
         d = max(math.hypot(x - self.ap_xy[ap, 0], y - self.ap_xy[ap, 1]), 0.1)
-        snr = float(self.link_model.snr_db(np.array([d]))[0])
-        return snr - float(self.noise_rise_db[ap])
+        return float(self.link_model.snr_db(d)) - float(self.noise_rise_db[ap])
 
     # -- interference ---------------------------------------------------------
 
@@ -587,13 +586,16 @@ class _EpochShared:
     them (same epoch, fixed order); ``version`` is bumped once per
     completed relay epoch so the MAC can rebuild its contender lists
     exactly when routes changed, without comparing floating-point
-    event times at epoch boundaries.
+    event times at epoch boundaries.  ``dirty_cells`` names the cells
+    whose contender list may still hold a tag that has left it (read,
+    or moved by a handoff commit) since the MAC last filtered it.
     """
 
     def __init__(self) -> None:
         self.snr: np.ndarray | None = None
         self.distances: np.ndarray | None = None
         self.version = 0
+        self.dirty_cells: set[int] = set()
 
 
 class MobilityProcess(Process):
@@ -792,19 +794,16 @@ class AssociationProcess(Process):
         if pop.relay_hops[tag_id] == 0:
             # direct tags follow their serving cell immediately; relayed
             # tags keep their gateway route until the next relay epoch
+            self.shared.dirty_cells.add(int(pop.mac_ap[tag_id]))
             pop.mac_ap[tag_id] = target
             snr = self.deployment.snr_to_ap(
                 float(pop.x_m[tag_id]), float(pop.y_m[tag_id]), target
             )
             model = self.deployment.link_model
             atten = self.deployment.config.blockage_attenuation_db
-            pop.eff_clear_p[tag_id] = float(
-                model.frame_success_from_snr_db(np.array([snr]))[0]
-            )
-            pop.eff_blocked_p[tag_id] = float(
-                model.frame_success_from_snr_db(
-                    np.array([snr - 2.0 * atten])
-                )[0]
+            pop.eff_clear_p[tag_id] = model.frame_success(snr)
+            pop.eff_blocked_p[tag_id] = model.frame_success(
+                snr - 2.0 * atten
             )
         self.trace(
             "handoff",
@@ -914,9 +913,12 @@ class MultiApAlohaMac(MacProcess):
     success from the tag's *effective* probability — direct SINR-based
     for in-coverage tags, gateway-decayed for relayed ones.  Contender
     lists are rebuilt whenever the relay process publishes a new route
-    version (a counter, so nothing compares floating-point event times)
-    and filtered per slot, so the per-slot cost scales with the
-    backlog, not the population.
+    version (a counter, so nothing compares floating-point event times).
+    Between rebuilds a cell's list is re-filtered, and the result kept,
+    only at the first poll after a read or a handoff commit touched the
+    cell (``_EpochShared.dirty_cells``), and the drain check reads the
+    population's unread counter — so the per-slot cost is the draw over
+    the polled cells' backlogs, not a pass over the population.
 
     Every AP draws from its **own** RNG stream (``ap_rngs``, assigned
     by :func:`_build_metro` in ascending AP-id order right after
@@ -978,15 +980,14 @@ class MultiApAlohaMac(MacProcess):
 
     def _rebuild_lists(self) -> None:
         pop = self.population
-        n = len(pop)
-        eligible = pop.active[:n] if self.persistent else (
-            pop.active[:n] & ~pop.read[:n]
+        eligible = (
+            pop.active_ids() if self.persistent else pop.active_unread_ids()
         )
-        mac_ap = pop.mac_ap[:n]
+        cells = pop.mac_ap[eligible]
         self._ap_ids = [
-            np.flatnonzero(eligible & (mac_ap == ap))
-            for ap in range(self.deployment.n_aps)
+            eligible[cells == ap] for ap in range(self.deployment.n_aps)
         ]
+        self.shared.dirty_cells.clear()
 
     def on_slot(self, slot: int, blocked: bool) -> None:
         assert self.ap_rngs is not None, "per-AP streams not assigned"
@@ -994,15 +995,23 @@ class MultiApAlohaMac(MacProcess):
             self._rebuild_lists()
             self._lists_version = self.shared.version
         pop = self.population
+        dirty = self.shared.dirty_cells
         color = slot % self.deployment.config.spatial_reuse_factor
         for ap in self.deployment.aps_of_color[color]:
             ap = int(ap)
             ids = self._ap_ids[ap]
-            if ids.size:
+            if ap in dirty:
+                # Keeping the filtered list is exact: between rebuilds a
+                # tag leaves a cell at most once (reads are permanent; a
+                # tag has at most one handoff commit per epoch) and joins
+                # none until the next rebuild, so a dropped id can never
+                # pass this filter again.  repro.net.shard relies on the
+                # same invariant.
+                dirty.discard(ap)
                 keep = pop.mac_ap[ids] == ap
                 if not self.persistent:
                     keep &= ~pop.read[ids]
-                ids = ids[keep]
+                ids = self._ap_ids[ap] = ids[keep]
             self.ap_slots += 1
             if ids.size == 0:
                 self.slots_idle += 1
@@ -1031,6 +1040,8 @@ class MultiApAlohaMac(MacProcess):
             tag_id = int(responders[0])
             if rng.random() < self._success_p(tag_id, blocked):
                 self._record(tag_id, ap, slot)
+                if not self.persistent:
+                    dirty.add(ap)
                 delivered = True
             else:
                 self.reads_failed_channel += 1

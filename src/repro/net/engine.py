@@ -18,11 +18,13 @@ population-scale runs **byte-reproducible**:
   draws only from its own stream, so the *interleaving* of events
   cannot perturb any process's draw sequence — adding trace calls or
   reordering same-time events never changes a number.
-* **Structured event trace.**  Every dispatch (and any explicit
-  :meth:`Simulator.record` call) appends a :class:`TraceEvent` to a
-  bounded ring buffer whose running sha256 digest covers *all* events
-  ever appended — the ring tail is for debugging, the digest is the
-  byte-identity witness that two runs executed the same history.
+* **Structured event trace.**  Every :meth:`Simulator.record` call
+  (processes reach it through :meth:`Process.trace`) appends a
+  :class:`TraceEvent` to a bounded ring buffer whose running sha256
+  digest covers *all* events ever appended — the ring tail is for
+  debugging, the digest is the byte-identity witness that two runs
+  executed the same history.  Dispatching an event appends nothing;
+  :meth:`Simulator.run` only counts it in ``events_processed``.
 
 The engine is protocol-agnostic; see :mod:`repro.net.mac` for the
 AP/tag/churn/blockage processes built on top of it.

@@ -162,9 +162,15 @@ class LinkBudgetModel:
         return _ANGLE_BUCKET_DEG
 
     def snr_db(
-        self, distances_m: np.ndarray, angles_deg: np.ndarray | None = None
+        self,
+        distances_m: np.ndarray | float,
+        angles_deg: np.ndarray | float | None = None,
     ) -> np.ndarray:
-        """Analytic symbol SNR for each (distance, angle) operating point."""
+        """Analytic symbol SNR for each (distance, angle) operating point.
+
+        Scalars give a 0-d result with the same bits as the matching
+        element of a one-element array.
+        """
         distances_m = np.asarray(distances_m, dtype=np.float64)
         if self._range_law_ok:
             snr = self._ref_snr_db - _RANGE_LAW_DB_PER_DECADE * np.log10(
@@ -257,6 +263,18 @@ class LinkBudgetModel:
         )
         return unique_p[inverse].reshape(np.shape(snr_db))
 
+    def frame_success(self, snr_db: float) -> float:
+        """Scalar :meth:`frame_success_from_snr_db`, bit for bit.
+
+        One-tag repricing (a handoff commit) would otherwise pay the
+        array path's ``np.unique`` for a single value.  The bucket key
+        follows ``np.round(x, 2)`` exactly — scale by 100, round half
+        to even, unscale — not Python's ``round(x, 2)``, which rounds
+        the exact decimal value and can pick a neighbouring bucket.
+        """
+        key = float(np.rint(snr_db * 100.0)) / 100.0
+        return (1.0 - self._ber(key)) ** (self.frame_bits + 32)
+
     def frame_success_probability(
         self,
         distances_m: np.ndarray,
@@ -310,10 +328,8 @@ class LinkBudgetModel:
         result = simulate_link(
             config, num_payload_bits=self.frame_bits, rng=rng
         )
-        modeled = float(
-            self.frame_success_probability(
-                np.array([distance_m]), np.array([angle_deg])
-            )[0]
+        modeled = self.frame_success(
+            float(self.snr_db(float(distance_m), float(angle_deg)))
         )
         return SpotCheck(
             slot=slot,

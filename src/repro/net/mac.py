@@ -272,8 +272,13 @@ class MacProcess(Process):
         self.schedule(self.slot_s, self._slot_event)
 
     def _drained(self) -> bool:
-        """No work left and none can arrive: stop clocking slots."""
-        return self.population.active_unread_ids().size == 0
+        """No active tag is left unread: stop clocking slots.
+
+        Pending churn arrivals are not consulted, so a run whose
+        current cohort is fully read stops even if more tags are
+        scheduled to arrive.  O(1): the population keeps the count.
+        """
+        return self.population.unread_active == 0
 
     def _success_p(self, tag_id: int, blocked: bool) -> float:
         src = (

@@ -85,6 +85,9 @@ class TagPopulation:
             setattr(self, name, np.full(cap, fill, dtype=dtype))
         self.arrivals = 0
         self.departures = 0
+        #: ``active_unread_ids().size``, kept by every lifecycle and
+        #: outcome method so drain checks cost O(1), not O(population).
+        self.unread_active = 0
 
     def __len__(self) -> int:
         """Total tags ever deployed (active + departed)."""
@@ -133,6 +136,7 @@ class TagPopulation:
         self.arrival_s[sl] = time_s
         self._n += n
         self.arrivals += n
+        self.unread_active += n
         return ids
 
     def depart(self, tag_id: int, time_s: float) -> bool:
@@ -142,6 +146,8 @@ class TagPopulation:
         self.active[tag_id] = False
         self.departure_s[tag_id] = time_s
         self.departures += 1
+        if not self.read[tag_id]:
+            self.unread_active -= 1
         return True
 
     # -- views (id order == array order == arrival order) ---------------------
@@ -169,9 +175,14 @@ class TagPopulation:
         if not self.read[tag_id]:
             self.read[tag_id] = True
             self.read_s[tag_id] = time_s
+            if self.active[tag_id]:
+                self.unread_active -= 1
 
     def record_reads(self, ids: np.ndarray, bits: int, time_s: float) -> None:
-        """Vectorised :meth:`record_read` for concurrent (FDMA) slots."""
+        """Vectorised :meth:`record_read` for concurrent (FDMA) slots.
+
+        ``ids`` must be distinct: one frame per tag per slot.
+        """
         if ids.size == 0:
             return
         self.delivered_bits[ids] += bits
@@ -179,6 +190,7 @@ class TagPopulation:
         fresh = ids[~self.read[ids]]
         self.read[fresh] = True
         self.read_s[fresh] = time_s
+        self.unread_active -= int(np.count_nonzero(self.active[fresh]))
 
     # -- metrics --------------------------------------------------------------
 

@@ -1,8 +1,8 @@
 """Sharded metro execution: byte-identical to serial, on many cores.
 
 :func:`repro.net.deployment.run_multi_ap` is single-threaded; its MAC
-inner loop dominates the wall clock at million-tag scale (every slot
-touches every contender, plus an O(population) drain check).  This
+inner loop dominates the wall clock at million-tag scale (every AP
+activation draws one uniform per contender of the polled cell).  This
 module runs the *same* simulation partitioned across worker processes
 and reproduces the serial run **bit for bit** — same report pickle,
 same event-trace digest — for any shard count.
@@ -46,10 +46,11 @@ The run happens in three passes:
    byte-identical — and the replay's per-slot cost is O(records), not
    O(backlog).
 
-The sharded path therefore does strictly less per-slot work than
-serial on the hot path (no per-slot drain scan, no contender filter in
-the replay), which is where the multi-core speedup on top of the
-parallel pass comes from.
+Serial and the workers share the same per-slot bookkeeping (an O(1)
+drain counter, cell lists re-filtered only after a read or a handoff
+commit touched them), so the only per-slot work the sharded path
+saves is the contender draw itself, which the replay skips; any
+speedup over serial comes from running the workers in parallel.
 """
 
 from __future__ import annotations
@@ -479,27 +480,17 @@ class _ReplayMac(MultiApAlohaMac):
     Reproduces every serial counter and trace/schedule call: a missing
     record for a polled AP means its contender list was empty (idle,
     no draw); otherwise the record's outcome drives the identical
-    ``_count``/``_record``/``reads_failed_channel`` updates.  The drain
-    check is O(1) — an unread counter decremented on first reads —
-    instead of serial's O(population) scan, which is legitimate here
-    because the metro population has no churn.
+    ``_count``/``_record``/``reads_failed_channel`` updates.  Reads go
+    through the population, so the inherited O(1) drain check stops
+    the replay at the same slot as serial.
     """
 
     _EMPTY: tuple = ()
 
     def load_outcomes(
-        self, by_slot: dict[int, tuple[tuple[int, int, int], ...]], n_tags: int
+        self, by_slot: dict[int, tuple[tuple[int, int, int], ...]]
     ) -> None:
         self._by_slot = by_slot
-        self._unread = int(n_tags)
-
-    def _drained(self) -> bool:
-        return self._unread == 0
-
-    def _record(self, tag_id: int, ap: int, slot: int) -> None:
-        if not bool(self.population.read[tag_id]):
-            self._unread -= 1
-        super()._record(tag_id, ap, slot)
 
     def on_slot(self, slot: int, blocked: bool) -> None:
         # keep the rebuild cursor in step (the lists themselves are
@@ -670,7 +661,7 @@ def run_multi_ap_sharded(
     )
     parts = _build_metro(sim, config, mac_cls=_ReplayMac)
     assert isinstance(parts.mac, _ReplayMac)
-    parts.mac.load_outcomes(by_slot, n_tags=plan.n_tags)
+    parts.mac.load_outcomes(by_slot)
     _run_metro(sim, parts)
     final = _finalize_metro(sim, parts)
     if trace_path is not None:
