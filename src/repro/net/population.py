@@ -41,7 +41,9 @@ def jain_fairness(values: np.ndarray | list[float]) -> float:
 
 
 class TagPopulation:
-    """Parallel per-tag state arrays with amortised growth.
+    """Parallel per-tag state arrays with amortised growth, plus the
+    ``unread_active`` count of active, not-yet-read tags (O(1) drain
+    checks).
 
     Subclasses (e.g. the metro-scale population in
     :mod:`repro.net.deployment`) extend :attr:`_ARRAYS` with their own
