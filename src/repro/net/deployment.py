@@ -582,13 +582,16 @@ class MetroTagPopulation(TagPopulation):
 class _EpochShared:
     """Per-epoch products shared between the epoch-cadence processes.
 
-    Association computes the SNR/distance matrices, relay consumes
-    them (same epoch, fixed order); ``version`` is bumped once per
-    completed relay epoch so the MAC can rebuild its contender lists
-    exactly when routes changed, without comparing floating-point
-    event times at epoch boundaries.  ``dirty_cells`` names the cells
-    whose contender list may still hold a tag that has left it (read,
-    or moved by a handoff commit) since the MAC last filtered it.
+    ``distances`` and ``snr`` are the ``(n, n_aps)`` tag-to-AP matrices
+    at the current positions.  Association owns them and keeps them
+    from epoch to epoch, repricing in place only the rows of tags that
+    moved; relay reads them in the same epoch (fixed order).
+    ``version`` is bumped once per completed relay epoch so the MAC can
+    rebuild its contender lists exactly when routes changed, without
+    comparing floating-point event times at epoch boundaries.
+    ``dirty_cells`` names the cells whose contender list may still hold
+    a tag that has left it (read, or moved by a handoff commit) since
+    the MAC last filtered it.
     """
 
     def __init__(self) -> None:
@@ -698,6 +701,12 @@ class AssociationProcess(Process):
     later (the signalling delay); the recorded latency runs from the
     first epoch at which a strictly better AP existed to the commit —
     the coverage gap a roaming tag actually experiences.
+
+    The first epoch prices every (tag, AP) pair.  Later epochs reprice
+    only the rows whose ``(x, y)`` differs from the position they were
+    last priced at, so an epoch costs O(moved × APs + n).  Distance, SNR
+    and best AP are row-local, so a row priced alone has the bits a
+    whole-matrix pricing gives it.
     """
 
     def __init__(
@@ -720,9 +729,31 @@ class AssociationProcess(Process):
         self._epoch = 0
         self._better_since: np.ndarray | None = None
         self._pending: np.ndarray | None = None
+        # positions and best AP of the rows in shared.distances/snr
+        self._priced_x = np.empty(0)
+        self._priced_y = np.empty(0)
+        self._best = np.empty(0, dtype=np.intp)
 
     def start(self) -> None:
         self.schedule(0.0, self._epoch_event)
+
+    def _reprice_moved(self, n: int) -> None:
+        """Bring ``shared.distances``/``snr`` and ``_best`` to the
+        current positions (all rows when the population size changed)."""
+        shared, deployment = self.shared, self.deployment
+        x, y = self.population.x_m[:n], self.population.y_m[:n]
+        if self._best.size != n:
+            shared.distances = deployment.distances_to_aps(x, y)
+            shared.snr = deployment.snr_from_distances(shared.distances)
+            self._best = np.argmax(shared.snr, axis=1)
+        else:
+            moved = np.flatnonzero((x != self._priced_x) | (y != self._priced_y))
+            distances = deployment.distances_to_aps(x[moved], y[moved])
+            snr = deployment.snr_from_distances(distances)
+            shared.distances[moved] = distances
+            shared.snr[moved] = snr
+            self._best[moved] = np.argmax(snr, axis=1)
+        self._priced_x, self._priced_y = x.copy(), y.copy()
 
     def _epoch_event(self) -> None:
         pop = self.population
@@ -734,13 +765,9 @@ class AssociationProcess(Process):
             self._better_since = np.full(n, np.nan)
             self._pending = np.zeros(n, dtype=bool)
         config = self.deployment.config
-        distances = self.deployment.distances_to_aps(
-            pop.x_m[:n], pop.y_m[:n]
-        )
-        snr = self.deployment.snr_from_distances(distances)
-        self.shared.snr = snr
-        self.shared.distances = distances
-        best = np.argmax(snr, axis=1)
+        self._reprice_moved(n)
+        snr = self.shared.snr
+        best = self._best
         serving = pop.serving_ap[:n]
         fresh = serving < 0
         if fresh.any():

@@ -141,7 +141,7 @@ class TestMatchedSnrEquivalences:
         assert blocked < clear
 
     def test_vectorised_success_matches_scalar_path(self):
-        # frame_success_from_snr_db's unique-bucket vectorisation must
+        # frame_success_from_snr_db's whole-array table gather must
         # agree with per-element evaluation bit for bit
         model = _model()
         snrs = np.linspace(-2.0, 14.0, 33)
