@@ -56,6 +56,11 @@ __all__ = [
 #: the integrity field ``sha256``) is ``detail``.
 _CORE_KEYS = ("t", "seq", "proc", "kind")
 
+#: The trace line format: compact JSON, NaN/inf written as bare
+#: ``NaN``/``Infinity``.  Event lines, dump lines, the dump header and
+#: the reader's re-rendering all go through this one encoder.
+_CANONICAL = json.JSONEncoder(separators=(",", ":"), allow_nan=True)
+
 
 @dataclass(frozen=True)
 class TraceEvent:
@@ -86,7 +91,7 @@ class TraceEvent:
 
     def to_line(self) -> str:
         """Canonical single-line JSON rendering (digest + dump format)."""
-        return json.dumps(self.payload(), separators=(",", ":"), allow_nan=True)
+        return _CANONICAL.encode(self.payload())
 
     def to_dump_line(self) -> str:
         """:meth:`to_line` plus a per-line ``sha256`` integrity field.
@@ -95,13 +100,13 @@ class TraceEvent:
         reader can verify each dumped record independently — the same
         per-line contract :class:`~repro.sim.checkpoint.SweepCheckpoint`
         gives sweep points.  The running trace digest is computed over
-        :meth:`to_line` and is therefore unaffected.
+        :meth:`to_line` and is therefore unaffected.  The field is
+        appended as the last key, exactly where encoding the payload
+        with it would put it.
         """
         line = self.to_line()
         digest = hashlib.sha256(line.encode()).hexdigest()
-        payload = self.payload()
-        payload["sha256"] = digest
-        return json.dumps(payload, separators=(",", ":"), allow_nan=True)
+        return f'{line[:-1]},"sha256":"{digest}"}}'
 
     @classmethod
     def from_payload(cls, payload: dict[str, object]) -> "TraceEvent":
@@ -158,8 +163,7 @@ class EventTrace:
         """Record one event (digest always; ring evicts the oldest)."""
         self._ring[self.total % self.capacity] = event
         self.total += 1
-        self._hash.update(event.to_line().encode())
-        self._hash.update(b"\n")
+        self._hash.update(f"{event.to_line()}\n".encode())
         if self.sink is not None:
             self.sink(event)
 
@@ -186,14 +190,13 @@ class EventTrace:
         input) rendering, so :class:`TraceReader` can verify each record
         independently when streaming the dump back in.
         """
-        header = json.dumps(
+        header = _CANONICAL.encode(
             {
                 "trace": "repro.net",
                 "total_events": self.total,
                 "ring_capacity": self.capacity,
                 "digest_sha256": self.digest(),
-            },
-            separators=(",", ":"),
+            }
         )
         yield header + "\n"
         for event in self.tail():
@@ -301,9 +304,7 @@ class TraceReader:
                 if recorded is None:
                     self.unverified_lines += 1
                 else:
-                    canonical = json.dumps(
-                        payload, separators=(",", ":"), allow_nan=True
-                    )
+                    canonical = _CANONICAL.encode(payload)
                     if (
                         hashlib.sha256(canonical.encode()).hexdigest()
                         != recorded
