@@ -550,7 +550,7 @@ def _bench_netsim_event_engine(quick: bool) -> KernelBench:
     path runs here on a serial-backend coordinator — one process — so
     the measured ratio is (hot-path savings from the draw-free planner
     + O(records) replay) net of the coordination overhead, which lands
-    near 1x.  The multi-core speedup from fanning the shard-epochs over
+    near 0.7x.  The multi-core speedup from fanning the shard-epochs over
     a process pool is E22's claim, not this kernel's: a pool ratio on a
     1-CPU runner would measure fork overhead, not the engine.
     """
