@@ -339,10 +339,18 @@ class IngestPipeline:
 class TraceReplaySource:
     """Stream ``(arrival_s, item)`` pairs out of a trace JSONL dump.
 
-    Built on the verifying :class:`~repro.net.engine.TraceReader`:
-    corrupted or torn lines surface as :class:`MalformedEvent` items
-    (stamped at the last good timestamp) and end up in the daemon's
-    dead-letter log rather than aborting the replay.
+    Built on the verifying :class:`~repro.net.engine.TraceReader`.
+    Nothing in the dump's event lines aborts the replay; each bad
+    record becomes a :class:`MalformedEvent` that the daemon counts
+    and dead-letters:
+
+    * a corrupted or torn line, stamped at the last good timestamp;
+    * a parsed read record whose ``tag``, ``ap`` or ``slot`` is not an
+      integer (see :func:`~repro.serve.events.read_event_from_trace`),
+      stamped at its own timestamp.
+
+    Only a missing or unusable header raises
+    :class:`~repro.net.engine.TraceReadError`.
     """
 
     def __init__(
@@ -369,12 +377,12 @@ class TraceReplaySource:
         for event in reader:
             while pending_bad:
                 yield last_t, pending_bad.popleft()
-            read = read_event_from_trace(
+            item = read_event_from_trace(
                 event, bits=self.frame_bits, source=self.source
             )
             last_t = max(last_t, event.time_s)
-            if read is not None:
-                yield read.time_s, read
+            if item is not None:
+                yield event.time_s, item
         while pending_bad:
             yield last_t, pending_bad.popleft()
 
@@ -389,7 +397,8 @@ class LiveNetsimSource:
     disjoint tag-id block, so the stream models unbounded tag churn —
     the workload that proves the inventory's retention bound.  Arrival
     timestamps are spaced ``1 / offered_rate_hz`` apart; the daemon
-    paces them against the wall clock.
+    paces them against the wall clock.  A read record that does not
+    normalise travels on as a :class:`MalformedEvent`, as in replay.
     """
 
     def __init__(
@@ -407,21 +416,21 @@ class LiveNetsimSource:
         self.frame_bits = int(frame_bits)
         self.seed = int(seed)
 
-    def __iter__(self) -> Iterator[tuple[float, ReadEvent]]:
+    def __iter__(self) -> Iterator[tuple[float, ReadEvent | MalformedEvent]]:
         root = np.random.SeedSequence(abs(self.seed))
         step = 1.0 / self.offered_rate_hz
         clock = 0.0
         seq = 0
         universe = 0
         while True:
-            reads: list[ReadEvent] = []
+            reads: list[ReadEvent | MalformedEvent] = []
 
             def sink(event) -> None:
-                read = read_event_from_trace(
+                item = read_event_from_trace(
                     event, bits=self.frame_bits, source="netsim"
                 )
-                if read is not None:
-                    reads.append(read)
+                if item is not None:
+                    reads.append(item)
 
             config = NetSimConfig(
                 num_tags=self.tags,
@@ -434,10 +443,13 @@ class LiveNetsimSource:
             )
             run_netsim(config, seed=root.spawn(1)[0], trace_sink=sink)
             offset = universe * self.tags
-            for read in reads:
-                yield clock, replace(
-                    read, time_s=clock, tag_id=read.tag_id + offset, seq=seq
-                )
+            for item in reads:
+                if isinstance(item, ReadEvent):
+                    item = replace(
+                        item, time_s=clock, tag_id=item.tag_id + offset,
+                        seq=seq,
+                    )
+                yield clock, item
                 clock += step
                 seq += 1
             universe += 1

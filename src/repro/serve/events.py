@@ -62,32 +62,42 @@ class MalformedEvent:
 
 def read_event_from_trace(
     event: TraceEvent, *, bits: int, source: str = "trace"
-) -> ReadEvent | None:
+) -> ReadEvent | MalformedEvent | None:
     """Normalise a simulator ``read`` trace event; ``None`` for others.
 
     Both the single-AP MAC (``kind="read"``, detail ``slot``/``tag``)
     and the metro MAC (adds ``ap``/``hops``) emit compatible records;
     non-read kinds (arrivals, handoffs, spot checks…) are not inventory
-    traffic and are skipped by returning ``None``.
+    traffic and are skipped by returning ``None``.  A read record with
+    no ``tag``, or whose ``tag``, ``ap`` or ``slot`` does not convert
+    to ``int``, comes back as a :class:`MalformedEvent` naming the
+    field, so both stream sources hand it to the dead-letter log
+    instead of dying on it.
     """
     if event.kind != "read":
         return None
     detail = dict(event.detail)
     try:
-        tag_id = int(detail["tag"])  # type: ignore[arg-type]
-    except (KeyError, TypeError, ValueError):
-        return None
-    ap_id = int(detail.get("ap", 0))  # type: ignore[arg-type]
-    slot = int(detail.get("slot", -1))  # type: ignore[arg-type]
-    return ReadEvent(
-        time_s=event.time_s,
-        tag_id=tag_id,
-        ap_id=ap_id,
-        bits=bits,
-        source=source,
-        seq=event.seq,
-        slot=slot,
-    )
+        return ReadEvent(
+            event.time_s,
+            int(detail["tag"]),  # type: ignore[arg-type]
+            int(detail.get("ap", 0)),  # type: ignore[arg-type]
+            bits,
+            source,
+            event.seq,
+            int(detail.get("slot", -1)),  # type: ignore[arg-type]
+        )
+    except KeyError:
+        reason = "read record has no 'tag'"
+    except (TypeError, ValueError, OverflowError):
+        for name, default in (("tag", None), ("ap", 0), ("slot", -1)):
+            value = detail.get(name, default)
+            try:
+                int(value)  # type: ignore[call-overload]
+            except (TypeError, ValueError, OverflowError):
+                break
+        reason = f"read record field {name!r} is not an integer: {value!r}"
+    return MalformedEvent(raw=event.to_line(), reason=reason, source=source)
 
 
 class DeadLetterLog:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 __all__ = ["LatencyHistogram", "ServiceMetrics"]
@@ -65,14 +66,7 @@ class LatencyHistogram:
         self.sum_s += seconds
         if seconds > self.max_s:
             self.max_s = seconds
-        lo, hi = 0, len(self.BOUNDS)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if seconds <= self.BOUNDS[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        self.counts[lo] += 1
+        self.counts[bisect_left(self.BOUNDS, seconds)] += 1
 
     def percentile(self, p: float) -> float:
         """Upper bucket bound at rank ``p`` (0-100); 0.0 when empty."""

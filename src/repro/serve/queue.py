@@ -150,16 +150,20 @@ class BoundedIngestQueue:
 
     def drain_until(self, now_s: float) -> int:
         """Service every event whose completion lands at or before now."""
+        queue = self._queue
+        metrics = self.metrics
         serviced = 0
-        while self._queue:
-            completion = self._next_completion()
-            assert completion is not None
+        while queue:
+            # The head's completion, as :meth:`_next_completion` has it.
+            enqueue_s, event = queue[0]
+            start = max(self._server_free_at, enqueue_s)
+            completion = start + self._service_time(start)
             if completion > now_s:
                 break
-            enqueue_s, event = self._queue.popleft()
+            queue.popleft()
             self._server_free_at = completion
-            self.metrics.latency.observe(completion - enqueue_s)
-            self.metrics.events_out += 1
+            metrics.latency.observe(completion - enqueue_s)
+            metrics.events_out += 1
             self.apply(event, completion)
             serviced += 1
         return serviced

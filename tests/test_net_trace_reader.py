@@ -139,6 +139,27 @@ class TestCorruption:
         assert reader.unverified_lines == 1
         assert reader.skipped_lines == 0
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"t":1.0,"seq":Infinity,"proc":"mac","kind":"read","tag":3}',
+            '{"t":' + "9" * 400 + ',"seq":7,"proc":"mac","kind":"read"}',
+        ],
+    )
+    def test_overflowing_core_field_skipped(self, tmp_path, line):
+        trace = _make_trace(2)
+        path = tmp_path / "trace.jsonl"
+        _dump(trace, path)
+        with path.open("a") as handle:
+            handle.write(line + "\n")
+        bad = []
+        reader = TraceReader(
+            path, on_bad_line=lambda no, raw, why: bad.append(why)
+        )
+        assert len(list(reader)) == 2
+        assert reader.skipped_lines == 1
+        assert bad and "core field" in bad[0]
+
 
 class TestHeaderErrors:
     def test_missing_file_raises(self, tmp_path):
@@ -161,6 +182,19 @@ class TestHeaderErrors:
         path = tmp_path / "garbage.jsonl"
         path.write_text("not json at all\n")
         with pytest.raises(TraceReadError, match="unparseable header"):
+            list(TraceReader(path))
+
+    @pytest.mark.parametrize("field", ["total_events", "ring_capacity"])
+    @pytest.mark.parametrize("value", ['"x"', "null", "[1]", "Infinity"])
+    def test_non_integer_header_count_raises(self, tmp_path, field, value):
+        header = {"trace": '"repro.net"', "total_events": "3",
+                  "ring_capacity": "8", "digest_sha256": '""'}
+        header[field] = value
+        path = tmp_path / "badcount.jsonl"
+        path.write_text(
+            "{" + ",".join(f'"{k}":{v}' for k, v in header.items()) + "}\n"
+        )
+        with pytest.raises(TraceReadError, match=f"header field '{field}'"):
             list(TraceReader(path))
 
 

@@ -84,6 +84,17 @@ class TestServeArguments:
         assert code == 2
         assert "no trace dump" in capsys.readouterr().err
 
+    def test_bad_header_count_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "badheader.jsonl"
+        path.write_text(
+            '{"trace":"repro.net","total_events":"x","ring_capacity":8,'
+            '"digest_sha256":""}\n'
+        )
+        code = main(["serve", "--trace", str(path), "--rate", "0",
+                     "--status-interval", "60"])
+        assert code == 2
+        assert "'total_events'" in capsys.readouterr().err
+
     def test_experiments_lists_e23(self, capsys):
         main(["experiments"])
         assert "E23" in capsys.readouterr().out
