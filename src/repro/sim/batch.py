@@ -52,6 +52,8 @@ from __future__ import annotations
 
 import math
 import zlib
+from collections import OrderedDict
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -78,6 +80,7 @@ from repro.dsp.measure import bit_error_rate, evm_rms, measure_snr
 from repro.dsp.signal import Signal
 from repro.dsp.sync import detect_frame_start
 from repro.rf.noise import thermal_noise_power
+from repro.sim.cache import CacheKeyError, stable_hash
 
 __all__ = [
     "BatchLinkSimulator",
@@ -255,14 +258,79 @@ def fast_modulate(scheme_name: str, bits: np.ndarray) -> np.ndarray:
 
 # -- the batched link chain ---------------------------------------------------
 
+#: Process-wide LRU of the state :meth:`BatchLinkSimulator._build_shared`
+#: computes, keyed by (simulator class, stable hash of the config with
+#: ``distance_m`` pinned to :data:`_KEY_DISTANCE_M`, payload bits).
+#: Pinning the distance rather than listing fields keeps every other
+#: config field in the key, fields added later included.  The points of
+#: a range sweep share one entry; its arrays are read-only, so no
+#: simulator can write into another's state.
+_BUILD_STATE: OrderedDict[tuple[type, str, int], dict[str, object]] = OrderedDict()
+_BUILD_STATE_MAX = 32
+_KEY_DISTANCE_M = 1.0
+
+
+def _shared_build_state(
+    cls: type, config: LinkConfig, num_payload_bits: int
+) -> dict[str, object]:
+    """The distance-free build state of ``cls`` for ``config``.
+
+    Built on a bare instance holding the pinned config, so the state is
+    a function of its key alone; a config that cannot be hashed gets a
+    fresh, unmemoised build.
+    """
+    pinned = replace(config, distance_m=_KEY_DISTANCE_M)
+    try:
+        key = (cls, stable_hash(pinned), num_payload_bits)
+    except CacheKeyError:
+        return _build_state(cls, pinned, num_payload_bits)
+    state = _BUILD_STATE.get(key)
+    if state is None:
+        state = _build_state(cls, pinned, num_payload_bits)
+        _BUILD_STATE[key] = state
+        while len(_BUILD_STATE) > _BUILD_STATE_MAX:
+            _BUILD_STATE.popitem(last=False)
+    else:
+        _BUILD_STATE.move_to_end(key)
+    return state
+
+
+def _build_state(
+    cls: type, config: LinkConfig, num_payload_bits: int
+) -> dict[str, object]:
+    bare = cls.__new__(cls)
+    bare.config = config
+    bare.num_payload_bits = num_payload_bits
+    bare._build_shared()
+    state = vars(bare)
+    del state["config"], state["num_payload_bits"]
+    for value in state.values():
+        _freeze(value)
+    return state
+
+
+def _freeze(value: object) -> None:
+    """Mark ``value``'s arrays read-only, inside tuples and lists too."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            _freeze(item)
+
 
 class BatchLinkSimulator:
     """Precomputed batched frame chain for one :class:`LinkConfig`.
 
-    Build once per operating point (the constructor precomputes the
-    reflection LUT, filters, mixers, blockage gain vector and budget
-    scalars), then call :meth:`simulate` repeatedly — that is what the
-    vectorized ``estimate_link_ber`` backend does per chunk.
+    The constructor precomputes the reflection LUT, filters, mixers,
+    blockage gain vector and budget scalars; :meth:`simulate` and
+    :meth:`simulate_point` then run frame batches through them.  Only
+    three of those values read ``config.distance_m`` — the received
+    amplitude, the analytic SNR and the phase-noise lag — and each
+    construction computes them from its own config
+    (:meth:`_build_point`).  The rest (:meth:`_build_shared`) is built
+    once per process for all configs that differ only in distance, and
+    shared read-only between their simulators, so a range sweep pays
+    the full build at its first point only.
 
     Every :class:`LinkConfig` batches exactly: Rician fading draws its
     per-frame channels in the documented serial RNG order and applies
@@ -280,11 +348,27 @@ class BatchLinkSimulator:
             )
         self.config = config
         self.num_payload_bits = int(num_payload_bits)
-        self._build()
+        self.__dict__.update(
+            _shared_build_state(type(self), config, self.num_payload_bits)
+        )
+        self._build_point()
 
     # -- precomputation ----------------------------------------------------
 
-    def _build(self) -> None:
+    def _build_point(self) -> None:
+        """The values that read ``config.distance_m``, per construction."""
+        config = self.config
+        self._amplitude = _received_amplitude(config)
+        self._snr_analytic_db = link_snr_db(config)
+        # Residual phase noise (PhaseNoiseModel.residual_after_delay)
+        # decorrelates over the round-trip delay.
+        self._pn_lag = 0
+        if self._use_phase_noise:
+            delay = 2.0 * config.distance_m / SPEED_OF_LIGHT
+            self._pn_lag = max(1, int(round(delay * self._fs)))
+
+    def _build_shared(self) -> None:
+        """Everything else the chain precomputes; reads no distance."""
         config = self.config
         tag_cfg = config.tag
         ap_cfg = config.ap
@@ -337,8 +421,6 @@ class BatchLinkSimulator:
         self._guard = _GUARD_SYMBOLS * sps
         self._padded_len = self._n_sig + 2 * self._guard
 
-        self._amplitude = _received_amplitude(config)
-        self._snr_analytic_db = link_snr_db(config)
         self._energy = config.energy_model.report(
             tag_cfg.modulation, tag_cfg.symbol_rate_hz, tag_cfg.subcarrier_hz
         )
@@ -366,14 +448,11 @@ class BatchLinkSimulator:
                 self._n_sig, fs, list(config.blockage_events)
             )
 
-        # Residual phase noise (PhaseNoiseModel.residual_after_delay).
-        self._pn_lag = 0
-        self._pn_sqrt_step = 0.0
-        if config.phase_noise is not None:
-            delay = 2.0 * config.distance_m / SPEED_OF_LIGHT
-            self._pn_lag = max(1, int(round(delay * fs)))
-            self._pn_sqrt_step = math.sqrt(config.phase_noise.diffusion_rate() / fs)
+        # Residual phase noise: the random-walk step (its lag is per point).
         self._use_phase_noise = config.phase_noise is not None
+        self._pn_sqrt_step = 0.0
+        if self._use_phase_noise:
+            self._pn_sqrt_step = math.sqrt(config.phase_noise.diffusion_rate() / fs)
 
         # AWGN sigma (add_awgn splits the power evenly between rails).
         self._noise_sigma = None

@@ -39,7 +39,6 @@ from scipy import fft as sp_fft
 from scipy import signal as sp_signal
 
 from repro.core.framing import HEADER_TOTAL_BITS, PREAMBLE_SYMBOLS
-from repro.core.link import LinkConfig
 from repro.core.modulation import BPSK, get_scheme
 from repro.core.tag import Tag
 from repro.sim import jit
@@ -51,18 +50,21 @@ __all__ = ["FastLinkSimulator"]
 class FastLinkSimulator(BatchLinkSimulator):
     """Statistical fast tier: whole-budget scoring in single precision.
 
-    Only :meth:`_score_frames` changes; :meth:`simulate_point` (the
+    Besides the build of its single-precision constants, only
+    :meth:`_score_frames` changes; :meth:`simulate_point` (the
     budget loop with frame-exact early exit) and :meth:`simulate` (the
     bit-exact per-frame API) are inherited unchanged, so the stopping
     rule and the public surface match the fused tier exactly — only the
     per-frame ``(errors, detected)`` numbers come from the fast chain.
     """
 
-    def __init__(self, config: LinkConfig, num_payload_bits: int = 2048) -> None:
-        super().__init__(config, num_payload_bits)
-        self._build_fast_tier()
-
     # -- precomputation ----------------------------------------------------
+
+    def _build_shared(self) -> None:
+        # The fast tier's constants read no distance either, so they
+        # join this class's shared build state.
+        super()._build_shared()
+        self._build_fast_tier()
 
     def _build_fast_tier(self) -> None:
         config = self.config
