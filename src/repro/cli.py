@@ -117,15 +117,17 @@ def build_parser() -> argparse.ArgumentParser:
                        help="process-pool width (default: CPU count)")
     sweep.add_argument("--cache-dir", default=None,
                        help="directory for the on-disk result cache (ber metric)")
-    sweep.add_argument("--chunk-frames", type=int, default=1,
-                       help="frames batched per convergence check (ber metric)")
-    sweep.add_argument("--target-errors", type=int, default=30,
-                       help="bit errors to accumulate per point (ber metric)")
+    sweep.add_argument("--chunk-frames", type=int, default=None,
+                       help="frames batched per convergence check "
+                            "(ber metric; default 1)")
+    sweep.add_argument("--target-errors", type=int, default=None,
+                       help="bit errors to accumulate per point "
+                            "(ber metric; default 30)")
     sweep.add_argument(
-        "--link-backend", default="serial", choices=list(LINK_BER_BACKENDS),
+        "--link-backend", default=None, choices=list(LINK_BER_BACKENDS),
         help="per-point frame chain (vectorized/fused = batched/whole-budget "
              "kernels, bit-identical to serial; fast = compiled statistical "
-             "tier, own cache keyspace; ber metric)",
+             "tier, own cache keyspace; ber metric; default serial)",
     )
     sweep.add_argument(
         "--schedule", default="uniform", choices=list(SweepExecutor.SCHEDULES),
@@ -439,12 +441,22 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.points < 2 or args.stop <= args.start:
         print("sweep needs stop > start and points >= 2", file=sys.stderr)
         return 2
-    if args.cache_dir is not None and args.metric != "ber":
-        print("--cache-dir applies to the ber metric only", file=sys.stderr)
-        return 2
-    if args.schedule == "adaptive" and args.metric != "ber":
-        print("--schedule adaptive applies to the ber metric only", file=sys.stderr)
-        return 2
+    if args.metric != "ber":
+        for flag, given in (("--cache-dir", args.cache_dir is not None),
+                            ("--schedule adaptive", args.schedule == "adaptive"),
+                            ("--target-errors", args.target_errors is not None),
+                            ("--chunk-frames", args.chunk_frames is not None),
+                            ("--link-backend", args.link_backend is not None)):
+            if given:
+                print(f"{flag} applies to the ber metric only", file=sys.stderr)
+                return 2
+    target_errors = 30 if args.target_errors is None else args.target_errors
+    chunk_frames = 1 if args.chunk_frames is None else args.chunk_frames
+    for flag, value in (("--target-errors", target_errors),
+                        ("--chunk-frames", chunk_frames)):
+        if value < 1:
+            print(f"{flag} must be >= 1, got {value}", file=sys.stderr)
+            return 2
     if args.resume and args.checkpoint is None:
         print("--resume requires --checkpoint", file=sys.stderr)
         return 2
@@ -473,11 +485,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 environment=Environment.typical_office(),
             ),
             param="distance_m",
-            target_errors=args.target_errors,
+            target_errors=target_errors,
             max_bits=20_000,
             bits_per_frame=2048,
-            chunk_frames=args.chunk_frames,
-            link_backend=args.link_backend,
+            chunk_frames=chunk_frames,
+            link_backend=args.link_backend or "serial",
         )
     report = executor.run(
         distances, task, seed=args.seed,

@@ -83,6 +83,7 @@ from repro.sim.checkpoint import SweepCheckpoint
 from repro.sim.monte_carlo import (
     BerEstimate,
     LinkBerAccumulator,
+    _check_budget,
     estimate_link_ber,
 )
 from repro.sim.retry import RetryPolicy, backoff_rng
@@ -193,6 +194,11 @@ class BerSweepTask(SweepTask):
                 f"unknown link backend {self.link_backend!r}; "
                 f"choose from {LINK_BER_BACKENDS}"
             )
+        # The estimator's own budget rules, checked once here rather
+        # than failing (and retrying) every point of the sweep.
+        _check_budget(
+            self.target_errors, self.max_bits, self.bits_per_frame, self.chunk_frames
+        )
 
     def config_for(self, value: float) -> LinkConfig:
         """The operating point at one sweep value."""

@@ -62,6 +62,32 @@ class TestSweepCommand:
         code = main(["sweep", "--start", "5", "--stop", "2"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flag,value", [("--target-errors", "0"), ("--chunk-frames", "-1")]
+    )
+    def test_bad_ber_budget_exit_two(self, flag, value, capsys):
+        code = main([
+            "sweep", "--metric", "ber", "--points", "2", "--max-retries", "2",
+            flag, value,
+        ])
+        assert code == 2
+        assert f"{flag} must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--target-errors", "30"), ("--chunk-frames", "1"),
+         ("--link-backend", "serial")],
+    )
+    def test_ber_only_flag_with_snr_exit_two(self, flag, value, capsys):
+        assert main(["sweep", "--points", "2", flag, value]) == 2
+        assert f"{flag} applies to the ber metric only" in capsys.readouterr().err
+
+    def test_ber_only_flags_default_unset(self):
+        args = build_parser().parse_args(["sweep"])
+        assert args.target_errors is None
+        assert args.chunk_frames is None
+        assert args.link_backend is None
+
 
 class TestEnergyCommand:
     def test_prints_all_schemes(self, capsys):

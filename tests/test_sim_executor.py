@@ -331,6 +331,20 @@ class TestExecutorSurface:
         with pytest.raises(ValueError):
             BerSweepTask(config=_noisy_config(), param="not_a_field")
 
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            ({"target_errors": 0}, "target_errors must be >= 1, got 0"),
+            ({"bits_per_frame": 0}, "bits_per_frame must be >= 1, got 0"),
+            ({"max_bits": 2_999}, "max_bits (2999) must cover one frame (3000 bits)"),
+            ({"chunk_frames": 0}, "chunk_frames must be >= 1, got 0"),
+        ],
+    )
+    def test_rejects_bad_ber_budget_at_construction(self, overrides, message):
+        with pytest.raises(ValueError) as raised:
+            _task(**overrides)
+        assert str(raised.value) == message
+
     def test_empty_sweep(self):
         report = SweepExecutor("serial").run([], _task(), seed=0)
         assert report.points == [] and report.records == []

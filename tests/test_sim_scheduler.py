@@ -116,6 +116,10 @@ class TestLinkBerAccumulator:
             LinkBerAccumulator(config, target_errors=0)
         with pytest.raises(ValueError, match="max_bits"):
             LinkBerAccumulator(config, max_bits=10, bits_per_frame=2048)
+        # A zero-bit frame never advances the bit budget (the serial
+        # loop would spin forever).
+        with pytest.raises(ValueError, match="bits_per_frame"):
+            LinkBerAccumulator(config, bits_per_frame=0)
         with pytest.raises(ValueError, match="chunk_frames"):
             LinkBerAccumulator(config, chunk_frames=0)
         with pytest.raises(ValueError, match="backend"):
