@@ -283,6 +283,60 @@ def _random_stochastic_config(rng: np.random.Generator) -> LinkConfig:
     )
 
 
+def _equalizer_configs() -> dict[str, LinkConfig]:
+    """Noisy LMS-equalizer operating points: the payload sees enough
+    noise that dropping the equalizer changes the decided bits."""
+    base = LinkConfig()
+    return {
+        "equalizer3_office_13m": LinkConfig(
+            distance_m=13.0,
+            environment=Environment.typical_office(),
+            ap=dataclasses.replace(base.ap, equalizer_taps=3),
+        ),
+        "equalizer5_rician_9m": LinkConfig(
+            distance_m=9.0,
+            rician_k_db=6.0,
+            ap=dataclasses.replace(base.ap, equalizer_taps=5),
+        ),
+    }
+
+
+def _parity_cases() -> list:
+    """``(config, seed)`` cases for the per-frame parity oracle."""
+    cases = [
+        pytest.param(config, 0, id=name)
+        for name, config in sorted({**_batch_configs(), **_equalizer_configs()}.items())
+    ]
+    rng = np.random.default_rng(2024)
+    for trial in range(6):
+        cases.append(
+            pytest.param(
+                _random_stochastic_config(rng), trial, id=f"stochastic{trial}"
+            )
+        )
+    return cases
+
+
+class TestPerFrameParity:
+    """The fused point program == consecutive ``simulate_link`` calls.
+
+    ``simulate_point`` with an unreachable error target runs exactly
+    ``max_frames`` frames, so each frame's ``(bit_errors, detected)``
+    pair must equal the serial reference's on an equal generator.
+    """
+
+    @pytest.mark.parametrize("config,seed", _parity_cases())
+    def test_simulate_point_matches_simulate_link(self, config, seed):
+        num_frames = 3
+        rng_ref = np.random.default_rng(seed)
+        reference = [simulate_link(config, rng=rng_ref) for _ in range(num_frames)]
+        errors, detected = BatchLinkSimulator(config, 2048).simulate_point(
+            np.random.default_rng(seed), errors_needed=10**9, max_frames=num_frames
+        )
+        assert errors.tolist() == [r.bit_errors for r in reference]
+        assert detected.tolist() == [r.detected for r in reference]
+
+
 class TestMultipathKernelEquivalence:
     """Cached-tap-grid apply and the rows kernel == per-Signal reference."""
 
