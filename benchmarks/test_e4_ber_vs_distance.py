@@ -35,8 +35,8 @@ def _experiment():
             target_errors=40,
             max_bits=24_000,
             bits_per_frame=3000,
-            # batched frame-chain kernel: bit-identical to serial, faster
-            link_backend="vectorized",
+            # whole-budget fused kernel: bit-identical to serial, faster
+            link_backend="fused",
         )
         report = executor.run(_DISTANCES_M, task, seed=_SEED)
         # (floored point estimate for log plotting, Wilson upper bound)

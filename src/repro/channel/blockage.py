@@ -53,7 +53,7 @@ def blockage_gain(
 
     Overlapping events multiply (two bodies are worse than one).  The
     plan is deterministic given ``(num_samples, sample_rate, events)``,
-    which is what lets the vectorized link kernel precompute the vector
+    which is what lets the fused link kernel precompute the vector
     once and broadcast it over a whole frame batch — the multiply it
     performs is then elementwise identical to :func:`apply_blockage`.
     """

@@ -27,7 +27,7 @@ equivalence tests and the hot-path benchmarks), but
   instance, so per-frame applies of a static channel only pay the
   signal-dependent FFTs.
 
-:func:`apply_channels_to_rows` is the batched variant the vectorized
+:func:`apply_channels_to_rows` is the batched variant the fused
 link kernel uses: one (possibly different) channel per row of a
 ``(frames, samples)`` matrix, with the forward/inverse FFTs batched per
 whole-sample-delay group — row-batched ``np.fft.fft``/``ifft`` along the

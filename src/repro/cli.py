@@ -78,6 +78,17 @@ def _environment(name: str) -> Environment:
     raise argparse.ArgumentTypeError(f"unknown environment {name!r}")
 
 
+def _worker_count(raw: str) -> int:
+    """argparse type of a process-pool width: an integer >= 1."""
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -113,27 +124,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend", default="serial", choices=list(SweepExecutor.BACKENDS),
         help="execution backend (process = pool fan-out, bit-identical to serial)",
     )
-    sweep.add_argument("--workers", type=int, default=None,
+    sweep.add_argument("--workers", type=_worker_count, default=None,
                        help="process-pool width (default: CPU count)")
     sweep.add_argument("--cache-dir", default=None,
                        help="directory for the on-disk result cache (ber metric)")
-    sweep.add_argument("--chunk-frames", type=int, default=None,
-                       help="frames batched per convergence check "
-                            "(ber metric; default 1)")
     sweep.add_argument("--target-errors", type=int, default=None,
                        help="bit errors to accumulate per point "
                             "(ber metric; default 30)")
     sweep.add_argument(
         "--link-backend", default=None, choices=list(LINK_BER_BACKENDS),
-        help="per-point frame chain (vectorized/fused = batched/whole-budget "
-             "kernels, bit-identical to serial; fast = compiled statistical "
-             "tier, own cache keyspace; ber metric; default serial)",
-    )
-    sweep.add_argument(
-        "--schedule", default="uniform", choices=list(SweepExecutor.SCHEDULES),
-        help="frame scheduling (adaptive = converged points drop out and the "
-             "budget drains to the waterfall tail, bit-identical per point; "
-             "ber metric)",
+        help="per-point frame chain (fused = whole-budget kernel, "
+             "bit-identical to serial; fast = compiled statistical tier, own "
+             "cache keyspace; ber metric; default serial)",
     )
     sweep.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                        help="per-point wall-clock budget; a stalled point "
@@ -302,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     netsim.add_argument("--backend", default="serial",
                         choices=list(SweepExecutor.BACKENDS),
                         help="sweep backend (with --sweep-tags)")
-    netsim.add_argument("--workers", type=int, default=None,
+    netsim.add_argument("--workers", type=_worker_count, default=None,
                         help="process-pool width (with --sweep-tags)")
     netsim.add_argument("--cache-dir", default=None,
                         help="on-disk result cache (with --sweep-tags)")
@@ -443,20 +445,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return 2
     if args.metric != "ber":
         for flag, given in (("--cache-dir", args.cache_dir is not None),
-                            ("--schedule adaptive", args.schedule == "adaptive"),
                             ("--target-errors", args.target_errors is not None),
-                            ("--chunk-frames", args.chunk_frames is not None),
                             ("--link-backend", args.link_backend is not None)):
             if given:
                 print(f"{flag} applies to the ber metric only", file=sys.stderr)
                 return 2
     target_errors = 30 if args.target_errors is None else args.target_errors
-    chunk_frames = 1 if args.chunk_frames is None else args.chunk_frames
-    for flag, value in (("--target-errors", target_errors),
-                        ("--chunk-frames", chunk_frames)):
-        if value < 1:
-            print(f"{flag} must be >= 1, got {value}", file=sys.stderr)
-            return 2
+    if target_errors < 1:
+        print(f"--target-errors must be >= 1, got {target_errors}", file=sys.stderr)
+        return 2
     if args.resume and args.checkpoint is None:
         print("--resume requires --checkpoint", file=sys.stderr)
         return 2
@@ -474,7 +471,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         cache=cache,
         timeout_s=args.timeout,
         retry=RetryPolicy(max_retries=args.max_retries),
-        schedule=args.schedule,
     )
     if args.metric == "snr":
         task = FunctionTask(functools.partial(_sweep_snr_metric, args.modulation))
@@ -488,7 +484,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             target_errors=target_errors,
             max_bits=20_000,
             bits_per_frame=2048,
-            chunk_frames=chunk_frames,
             link_backend=args.link_backend or "serial",
         )
     report = executor.run(

@@ -9,11 +9,6 @@ injection.  Each sweep point replaces one config field with the sweep
 value and runs the simulation under the point's own
 :class:`~numpy.random.SeedSequence` — the same value/seed pair is
 byte-identical on every backend, which is what makes the cache sound.
-
-``NetSimTask`` deliberately does **not** implement
-``make_accumulator``: a discrete-event run is not a resumable
-estimator, so the adaptive scheduler rejects it with a clear error
-instead of silently degrading.
 """
 
 from __future__ import annotations
@@ -130,8 +125,6 @@ class MultiAPTask(SweepTask):
     default; ``ap_spacing_m``, ``mobile_fraction``,
     ``handoff_hysteresis_db``, ... all work), integer fields are cast
     from float sweep values, and the cache key covers the full config.
-    Like ``NetSimTask`` it rejects the adaptive scheduler — a
-    discrete-event run is not a resumable estimator.
 
     ``shards >= 2`` routes each point through
     :func:`~repro.net.shard.run_multi_ap_sharded` (with an in-process

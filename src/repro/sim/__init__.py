@@ -13,7 +13,7 @@ makes each point cheap, and the hot-path microbenchmarks
 """
 
 from repro.sim.monte_carlo import BerEstimate, estimate_link_ber, awgn_symbol_ber
-from repro.sim.batch import BatchLinkSimulator, simulate_link_batch
+from repro.sim.batch import BatchLinkSimulator
 from repro.sim.sweep import sweep_1d, SweepPoint
 from repro.sim.results import ResultTable
 from repro.sim.plotting import ascii_plot, format_db
@@ -55,7 +55,6 @@ __all__ = [
     "estimate_link_ber",
     "awgn_symbol_ber",
     "BatchLinkSimulator",
-    "simulate_link_batch",
     "sweep_1d",
     "SweepPoint",
     "ResultTable",

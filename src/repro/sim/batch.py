@@ -40,10 +40,10 @@ they are cheap relative to the waveform passes.
 
 Fast exact primitives
 ---------------------
-``crc_bits_fast`` (byte-table CRC), ``fast_symbol_indices`` /
-``fast_modulate`` (integer-LUT constellation mapping) replace the
-reference's Python loops with integer-exact equivalents; the originals
-in :mod:`repro.core.coding` / :mod:`repro.core.modulation` are kept
+``crc_bits_fast`` (byte-table CRC) and ``fast_symbol_indices``
+(integer-LUT constellation mapping) replace the reference's Python
+loops with integer-exact equivalents; the originals in
+:mod:`repro.core.coding` / :mod:`repro.core.modulation` are kept
 untouched as the reference the equivalence tests (and the hot-path
 benchmarks) compare against.
 """
@@ -63,33 +63,26 @@ from repro.channel.blockage import blockage_gain
 from repro.channel.mobility import doppler_shift_hz
 from repro.channel.multipath import apply_channels_to_rows, rician_channel
 from repro.constants import SPEED_OF_LIGHT
-from repro.core.ap import AccessPoint, ReceiverResult
+from repro.core.ap import AccessPoint
 from repro.core.coding import append_crc32
 from repro.core.framing import HEADER_TOTAL_BITS, PREAMBLE_SYMBOLS, FrameHeader
 from repro.core.link import (
     _GUARD_SYMBOLS,
     LinkConfig,
-    LinkResult,
     _received_amplitude,
     link_snr_db,
 )
 from repro.core.modulation import BPSK, get_scheme
 from repro.core.tag import Tag, square_subcarrier_wave
 from repro.dsp.filters import design_fir_lowpass
-from repro.dsp.measure import bit_error_rate, evm_rms, measure_snr
-from repro.dsp.signal import Signal
-from repro.dsp.sync import detect_frame_start
 from repro.rf.noise import thermal_noise_power
 from repro.sim.cache import CacheKeyError, stable_hash
 
 __all__ = [
     "BatchLinkSimulator",
-    "simulate_link_batch",
     "crc_bits_fast",
     "crc32_tail_bits_fast",
-    "check_crc32_fast",
     "fast_symbol_indices",
-    "fast_modulate",
 ]
 
 _CRC32_POLY = 0x04C11DB7
@@ -195,24 +188,12 @@ def _zlib_crc_usable() -> bool:
     return _ZLIB_CRC_MATCHES
 
 
-def check_crc32_fast(bits_with_crc: np.ndarray) -> bool:
-    """Exact drop-in for :func:`repro.core.coding.check_crc32`."""
-    bits_with_crc = np.asarray(bits_with_crc, dtype=np.int8)
-    if bits_with_crc.size < 32:
-        return False
-    payload, tail = bits_with_crc[:-32], bits_with_crc[-32:]
-    tail_value = 0
-    for bit in tail.tolist():
-        tail_value = (tail_value << 1) | int(bit)
-    return crc_bits_fast(payload) == tail_value
-
-
 # -- fast exact constellation mapping ---------------------------------------
 
 
 @lru_cache(maxsize=None)
-def _modulation_tables(scheme_name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(powers, pattern->index LUT, points)`` for one scheme.
+def _modulation_tables(scheme_name: str) -> tuple[np.ndarray, np.ndarray]:
+    """``(powers, pattern->index LUT)`` for one scheme.
 
     The reference mapper looks each k-bit group up in a Python dict; the
     LUT turns that into one integer matmul plus a gather, with identical
@@ -224,7 +205,7 @@ def _modulation_tables(scheme_name: str) -> tuple[np.ndarray, np.ndarray, np.nda
     lut = np.empty(constellation.size, dtype=np.int64)
     patterns = constellation.bit_labels.astype(np.int64) @ powers
     lut[patterns] = np.arange(constellation.size)
-    return powers, lut, constellation.points
+    return powers, lut
 
 
 def fast_symbol_indices(scheme_name: str, bits: np.ndarray) -> np.ndarray:
@@ -234,7 +215,7 @@ def fast_symbol_indices(scheme_name: str, bits: np.ndarray) -> np.ndarray:
     exactly (integer arithmetic), but broadcasts over leading axes so a
     whole frame batch maps in one pass.
     """
-    powers, lut, _ = _modulation_tables(scheme_name)
+    powers, lut = _modulation_tables(scheme_name)
     k = powers.size
     bits = np.asarray(bits)
     if bits.shape[-1] % k:
@@ -243,17 +224,6 @@ def fast_symbol_indices(scheme_name: str, bits: np.ndarray) -> np.ndarray:
         )
     groups = bits.astype(np.int64).reshape(bits.shape[:-1] + (bits.shape[-1] // k, k))
     return lut[groups @ powers]
-
-
-def fast_modulate(scheme_name: str, bits: np.ndarray) -> np.ndarray:
-    """Bit array -> constellation symbols, exact and batch-capable.
-
-    Returns the same complex values as
-    :meth:`repro.core.modulation.Constellation.modulate` (both gather
-    from the same ``points`` array).
-    """
-    _, _, points = _modulation_tables(scheme_name)
-    return points[fast_symbol_indices(scheme_name, bits)]
 
 
 # -- the batched link chain ---------------------------------------------------
@@ -322,11 +292,11 @@ class BatchLinkSimulator:
     """Precomputed batched frame chain for one :class:`LinkConfig`.
 
     The constructor precomputes the reflection LUT, filters, mixers,
-    blockage gain vector and budget scalars; :meth:`simulate` and
-    :meth:`simulate_point` then run frame batches through them.  Only
-    three of those values read ``config.distance_m`` — the received
-    amplitude, the analytic SNR and the phase-noise lag — and each
-    construction computes them from its own config
+    blockage gain vector and budget scalars; :meth:`simulate_point`
+    then runs frame batches through them.  Only three of those values
+    read ``config.distance_m`` — the received amplitude, the analytic
+    SNR and the phase-noise lag — and each construction computes them
+    from its own config
     (:meth:`_build_point`).  The rest (:meth:`_build_shared`) is built
     once per process for all configs that differ only in distance, and
     shared read-only between their simulators, so a range sweep pays
@@ -560,20 +530,6 @@ class BatchLinkSimulator:
 
     # -- simulation --------------------------------------------------------
 
-    def simulate(
-        self, num_frames: int, rng: np.random.Generator | int | None = None
-    ) -> list[LinkResult]:
-        """Simulate ``num_frames`` bursts; bit-identical to the reference.
-
-        Frame ``f`` of the returned list equals the ``f``-th consecutive
-        ``simulate_link(config, num_payload_bits, rng)`` call on the same
-        generator, field for field.
-        """
-        if num_frames < 1:
-            raise ValueError(f"num_frames must be >= 1, got {num_frames}")
-        rng = np.random.default_rng(rng)
-        return self._simulate_fast(num_frames, rng)
-
     def _front_end(
         self, num_frames: int, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -722,44 +678,6 @@ class BatchLinkSimulator:
         filtered = sp_signal.lfilter(self._ma_taps, [1.0], work, axis=-1)
         return padded_payload, work, filtered
 
-    def _simulate_fast(
-        self, num_frames: int, rng: np.random.Generator
-    ) -> list[LinkResult]:
-        config = self.config
-        fs = self._fs
-        padded_payload, work, filtered = self._front_end(num_frames, rng)
-
-        # -- per-frame tail: sync, decode, score --
-        sps = self._sps
-        min_symbols = PREAMBLE_SYMBOLS.size + HEADER_TOTAL_BITS
-        results = []
-        for f in range(num_frames):
-            work_row = work[f]
-            start = detect_frame_start(
-                Signal(work_row, fs),
-                PREAMBLE_SYMBOLS,
-                sps,
-                threshold_ratio=config.ap.sync_threshold_ratio,
-            )
-            if start is None:
-                receiver = ReceiverResult(detected=False)
-            else:
-                row = filtered[f]
-                lead_in = work_row[: max(0, start - sps)]
-                if lead_in.size >= 4 * sps:
-                    row = row - complex(np.mean(lead_in))
-                first = start + sps - 1
-                if first >= row.size:
-                    symbols = np.zeros(0, dtype=np.complex128)
-                else:
-                    symbols = row[first::sps]
-                if symbols.size < min_symbols:
-                    receiver = ReceiverResult(detected=False)
-                else:
-                    receiver = self._decode_symbol_stream(symbols, start)
-            results.append(self._score(receiver, padded_payload[f]))
-        return results
-
     # -- fused whole-budget point program ---------------------------------
 
     def _detect_starts(self, work: np.ndarray) -> np.ndarray:
@@ -803,12 +721,12 @@ class BatchLinkSimulator:
     ) -> tuple[int, bool]:
         """Scores-only mirror of the decode tail: ``(bit_errors, detected)``.
 
-        Follows :meth:`_decode_symbol_stream` + :meth:`_score` branch
-        for branch but skips everything the BER accumulator never reads
+        Follows :meth:`AccessPoint.decode_symbol_stream` and
+        :func:`simulate_link`'s scoring branch for branch, LMS equalizer
+        included, but skips everything the BER accumulator never reads
         (SNR/EVM measurement, CRC verdict, hard-decision re-modulation)
-        — :meth:`LinkBerAccumulator._absorb` consumes only the error
-        count, the payload size and the detected flag, so the skipped
-        stages cannot change the estimate.
+        — the accumulator consumes only the error count and the detected
+        flag, so the skipped stages cannot change the estimate.
         """
         miss = int(sent_payload.size // 2)
         num_preamble = PREAMBLE_SYMBOLS.size
@@ -834,6 +752,19 @@ class BatchLinkSimulator:
         payload_symbols = equalised[
             payload_start : payload_start + num_payload_symbols
         ]
+        equalizer_taps = self.config.ap.equalizer_taps
+        if equalizer_taps > 0 and payload_symbols.size:
+            from repro.dsp.equalizer import LmsEqualizer
+
+            training_reference = np.concatenate(
+                [
+                    PREAMBLE_SYMBOLS.astype(np.complex128),
+                    BPSK.constellation.modulate(header.to_bits()),
+                ]
+            )
+            equalizer = LmsEqualizer(num_taps=equalizer_taps)
+            equalizer.train(equalised[:payload_start], training_reference)
+            payload_symbols = equalizer.apply(payload_symbols)
         if payload_symbols.size < num_payload_symbols:
             return miss, True
 
@@ -854,19 +785,17 @@ class BatchLinkSimulator:
         """One fused pass: per-frame ``(bit_errors, detected)`` arrays.
 
         Frame ``f`` carries exactly the ``(result.bit_errors,
-        result.detected)`` pair :meth:`simulate` would report for the
-        same generator — the front end, sync and decode arithmetic are
-        shared — without materialising per-frame ``LinkResult`` objects
-        or the receiver measurements the accumulator ignores.
+        result.detected)`` pair of the ``f``-th consecutive
+        :func:`simulate_link` call on the same generator, without
+        materialising per-frame ``LinkResult`` objects or the receiver
+        measurements the accumulator ignores.
         """
         padded_payload, work, filtered = self._front_end(num_frames, rng)
         starts = self._detect_starts(work)
         sps = self._sps
-        min_symbols = PREAMBLE_SYMBOLS.size + HEADER_TOTAL_BITS
         errors = np.empty(num_frames, dtype=np.int64)
         detected = np.zeros(num_frames, dtype=bool)
         miss = self._padded_bits // 2
-        use_equalizer = self.config.ap.equalizer_taps > 0
         for f in range(num_frames):
             start = int(starts[f])
             if start < 0:
@@ -882,20 +811,9 @@ class BatchLinkSimulator:
                 symbols = np.zeros(0, dtype=np.complex128)
             else:
                 symbols = row[first::sps]
-            if symbols.size < min_symbols:
-                errors[f] = miss
-                continue
-            if use_equalizer:
-                # LMS state makes a scores-only shortcut fragile; take
-                # the full receiver mirror for these (rare) configs.
-                receiver = self._decode_symbol_stream(symbols, start)
-                result = self._score(receiver, padded_payload[f])
-                errors[f] = result.bit_errors
-                detected[f] = result.detected
-            else:
-                errors[f], detected[f] = self._frame_errors(
-                    symbols, start, padded_payload[f]
-                )
+            errors[f], detected[f] = self._frame_errors(
+                symbols, start, padded_payload[f]
+            )
         return errors, detected
 
     def simulate_point(
@@ -918,8 +836,7 @@ class BatchLinkSimulator:
         frames never pays for the full budget; frames simulated past
         the stop inside the final block consume generator state the
         serial loop would never draw, but they are discarded before
-        scoring — the same overshoot semantics the chunked vectorized
-        backend has always had.
+        scoring.
         """
         if max_frames < 1:
             raise ValueError(f"max_frames must be >= 1, got {max_frames}")
@@ -947,7 +864,7 @@ class BatchLinkSimulator:
             block *= 2
         return np.concatenate(errors_parts), np.concatenate(detected_parts)
 
-    # -- receiver tail (mirrors AccessPoint.decode_symbol_stream) ---------
+    # -- receiver front-end helpers ---------------------------------------
 
     def _adc_quantize(self, work: np.ndarray) -> np.ndarray:
         """Per-row auto-ranged quantization (mirrors ``ADC.auto_ranged``
@@ -969,121 +886,3 @@ class BatchLinkSimulator:
             return levels * step
 
         return rail(work.real) + 1j * rail(work.imag)
-
-    def _decode_symbol_stream(
-        self, symbols: np.ndarray, start: int
-    ) -> ReceiverResult:
-        """Mirror of :meth:`AccessPoint.decode_symbol_stream`.
-
-        Byte-identical control flow and arithmetic; the only
-        substitutions are the integer-exact fast CRC check and the
-        LUT-based re-modulation of the hard decisions.
-        """
-        ap_cfg = self.config.ap
-        num_preamble = PREAMBLE_SYMBOLS.size
-        if symbols.size < num_preamble + HEADER_TOTAL_BITS:
-            return ReceiverResult(detected=False)
-
-        gain = AccessPoint.preamble_gain(symbols)
-        if gain == 0:
-            return ReceiverResult(detected=True, start_sample=start)
-
-        equalised = symbols / gain
-
-        header_symbols = equalised[num_preamble : num_preamble + HEADER_TOTAL_BITS]
-        header_bits = BPSK.constellation.demodulate(header_symbols)
-        header = FrameHeader.from_bits(header_bits)
-        if header is None:
-            return ReceiverResult(detected=True, start_sample=start)
-
-        scheme = get_scheme(header.modulation)
-        num_payload_symbols = (
-            header.payload_length_bits + 32
-        ) // scheme.bits_per_symbol
-        payload_start = num_preamble + HEADER_TOTAL_BITS
-        payload_symbols = equalised[
-            payload_start : payload_start + num_payload_symbols
-        ]
-
-        if ap_cfg.equalizer_taps > 0 and payload_symbols.size:
-            from repro.dsp.equalizer import LmsEqualizer
-
-            training_reference = np.concatenate(
-                [
-                    PREAMBLE_SYMBOLS.astype(np.complex128),
-                    BPSK.constellation.modulate(header.to_bits()),
-                ]
-            )
-            equalizer = LmsEqualizer(num_taps=ap_cfg.equalizer_taps)
-            equalizer.train(equalised[:payload_start], training_reference)
-            payload_symbols = equalizer.apply(payload_symbols)
-        if payload_symbols.size < num_payload_symbols:
-            return ReceiverResult(
-                detected=True, header=header, header_ok=True, start_sample=start
-            )
-
-        mean_point = scheme.constellation.mean_point()
-        if abs(mean_point) > 1e-3:
-            offset = np.mean(payload_symbols) - mean_point
-            payload_symbols = payload_symbols - offset
-
-        protected_bits = scheme.constellation.demodulate(payload_symbols)
-        payload_bits = protected_bits[:-32]
-        crc_ok = check_crc32_fast(protected_bits)
-
-        reference_symbols = fast_modulate(scheme.name, protected_bits)
-        snr_est = measure_snr(payload_symbols, reference_symbols)
-        evm = evm_rms(payload_symbols, reference_symbols)
-
-        return ReceiverResult(
-            detected=True,
-            header=header,
-            header_ok=True,
-            payload_bits=payload_bits,
-            payload_crc_ok=crc_ok,
-            start_sample=start,
-            payload_symbols=payload_symbols,
-            snr_estimate_db=snr_est,
-            evm=evm,
-        )
-
-    def _score(
-        self, receiver: ReceiverResult, sent_payload: np.ndarray
-    ) -> LinkResult:
-        """Score one burst exactly like :func:`simulate_link` does."""
-        if (
-            receiver.payload_bits is not None
-            and receiver.payload_bits.size == sent_payload.size
-        ):
-            errors = int(np.count_nonzero(receiver.payload_bits != sent_payload))
-            ber = bit_error_rate(sent_payload, receiver.payload_bits)
-        else:
-            errors = sent_payload.size // 2
-            ber = 0.5
-        return LinkResult(
-            config=self.config,
-            receiver=receiver,
-            num_payload_bits=sent_payload.size,
-            bit_errors=errors,
-            ber=ber,
-            frame_success=receiver.success,
-            snr_analytic_db=self._snr_analytic_db,
-            snr_measured_db=receiver.snr_estimate_db,
-            evm=receiver.evm,
-            energy=self._energy,
-        )
-
-
-def simulate_link_batch(
-    config: LinkConfig,
-    num_frames: int,
-    num_payload_bits: int = 2048,
-    rng: np.random.Generator | int | None = None,
-) -> list[LinkResult]:
-    """Simulate ``num_frames`` bursts through the batched kernel.
-
-    Convenience wrapper around :class:`BatchLinkSimulator` for one-shot
-    use; repeated callers (the vectorized BER estimator) should build
-    the simulator once and call :meth:`BatchLinkSimulator.simulate`.
-    """
-    return BatchLinkSimulator(config, num_payload_bits).simulate(num_frames, rng)

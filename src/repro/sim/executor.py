@@ -9,10 +9,9 @@ single number:
 * :class:`SweepExecutor` evaluates sweep points through a ``serial``
   or ``process`` (pool) backend.  Each point gets its own
   :class:`numpy.random.SeedSequence` spawned from the root seed, so the
-  result is **bit-identical across backends, worker counts, and chunk
-  sizes** — the serial loop stays in the tree as the reference
-  implementation, and ``tests/test_sim_executor.py`` enforces the
-  equivalence.
+  result is **bit-identical across backends and worker counts** — the
+  serial loop stays in the tree as the reference implementation, and
+  ``tests/test_sim_executor.py`` enforces the equivalence.
 * A :class:`~repro.sim.cache.ResultCache` (optional) memoises points on
   disk, keyed by a stable hash of the task + value + seed + code
   version; cache-hit replay therefore returns the same objects the
@@ -80,12 +79,7 @@ from repro.sim.cache import (
     stable_hash,
 )
 from repro.sim.checkpoint import SweepCheckpoint
-from repro.sim.monte_carlo import (
-    BerEstimate,
-    LinkBerAccumulator,
-    _check_budget,
-    estimate_link_ber,
-)
+from repro.sim.monte_carlo import BerEstimate, _check_budget, estimate_link_ber
 from repro.sim.retry import RetryPolicy, backoff_rng
 from repro.sim.sweep import SweepPoint
 
@@ -157,9 +151,9 @@ class BerSweepTask(SweepTask):
     and runs :func:`~repro.sim.monte_carlo.estimate_link_ber`.
 
     ``link_backend`` selects the frame-chain implementation.  The
-    bit-exact tiers (``"serial"``, ``"vectorized"``, ``"fused"``)
-    return identical estimates, so the cache key deliberately ignores
-    the choice among them — a cache warmed by one is hit by the others.
+    bit-exact tiers (``"serial"`` and ``"fused"``) return identical
+    estimates, so the cache key deliberately ignores the choice between
+    them — a cache warmed by one is hit by the other.
     The statistical ``"fast"`` tier is *not* bit-identical and keeps
     its own cache keyspace: fast results never serve hits to the exact
     tiers or vice versa.
@@ -170,15 +164,7 @@ class BerSweepTask(SweepTask):
     target_errors: int = 100
     max_bits: int = 200_000
     bits_per_frame: int = 2048
-    chunk_frames: int = 1
     link_backend: str = "serial"
-
-    #: BER estimates are invariant to the bit-exact backend *and* chunk
-    #: size (the stopping rule is checked frame-exactly inside each
-    #: chunk), so the cache key normalises both knobs — see
-    #: :meth:`cache_parts`.  The statistical ``"fast"`` backend is
-    #: excluded from this normalisation.
-    _CACHE_NORMALISED = {"link_backend": "serial", "chunk_frames": 1}
 
     def __post_init__(self) -> None:
         names = {f.name for f in dataclass_fields(LinkConfig)}
@@ -196,9 +182,7 @@ class BerSweepTask(SweepTask):
             )
         # The estimator's own budget rules, checked once here rather
         # than failing (and retrying) every point of the sweep.
-        _check_budget(
-            self.target_errors, self.max_bits, self.bits_per_frame, self.chunk_frames
-        )
+        _check_budget(self.target_errors, self.max_bits, self.bits_per_frame)
 
     def config_for(self, value: float) -> LinkConfig:
         """The operating point at one sweep value."""
@@ -211,45 +195,18 @@ class BerSweepTask(SweepTask):
             max_bits=self.max_bits,
             bits_per_frame=self.bits_per_frame,
             seed=seed,
-            chunk_frames=self.chunk_frames,
             backend=self.link_backend,
-        )
-
-    def make_accumulator(
-        self, value: float, seed: np.random.SeedSequence
-    ) -> "LinkBerAccumulator":
-        """Resumable estimator state for the adaptive scheduler.
-
-        Driving this accumulator chunk by chunk until ``done`` yields
-        exactly the :class:`BerEstimate` that :meth:`run` returns — the
-        accumulator *is* the estimator loop body — which is why
-        adaptive and uniform schedules share cache entries.
-        """
-        return LinkBerAccumulator(
-            self.config_for(value),
-            target_errors=self.target_errors,
-            max_bits=self.max_bits,
-            bits_per_frame=self.bits_per_frame,
-            chunk_frames=self.chunk_frames,
-            backend=self.link_backend,
-            seed=seed,
         )
 
     def cache_parts(self, value: float) -> dict[str, Any]:
-        # Within the bit-exact tiers, backend and chunk size are
-        # numerically irrelevant (estimates are bit-identical across
-        # both), so normalise them out of the key: a cache warmed by
-        # any exact backend/chunking/schedule serves hits to every
-        # other exact combination.  The statistical "fast" tier keeps
+        # Within the bit-exact tiers the backend is numerically
+        # irrelevant (estimates are bit-identical), so normalise it out
+        # of the key: a cache warmed by either exact backend serves
+        # hits to the other.  The statistical "fast" tier keeps
         # its backend name in the key so its results never masquerade
         # as (or are shadowed by) bit-exact ones.
-        normalised = dict(self._CACHE_NORMALISED)
-        if self.link_backend == "fast":
-            normalised["link_backend"] = "fast"
-        return {
-            "task": replace(self, **normalised),
-            "value": value,
-        }
+        backend = "fast" if self.link_backend == "fast" else "serial"
+        return {"task": replace(self, link_backend=backend), "value": value}
 
 
 @dataclass(frozen=True)
@@ -345,8 +302,6 @@ class SweepReport:
     recovered: int = 0  # points that succeeded after a failure / pool death
     resumed: int = 0  # points restored from a checkpoint
     degraded: bool = False  # process pool died; finished serially
-    schedule: str = "uniform"  # frame scheduling policy used
-    rounds: int = 0  # adaptive chunk rounds (deepest point's chunk count)
 
     @property
     def metrics(self) -> list[object]:
@@ -437,16 +392,10 @@ class SweepReport:
             )
         conv, unconv = self.converged, self.unconverged
         if conv or unconv:
-            line = (
+            lines.append(
                 f"convergence: {conv} point{'s' if conv != 1 else ''} hit "
                 f"target_errors, {unconv} hit the bit budget"
             )
-            if self.schedule == "adaptive":
-                line += (
-                    f" [adaptive schedule, {self.rounds} "
-                    f"round{'s' if self.rounds != 1 else ''}]"
-                )
-            lines.append(line)
         failure_text = self.failure_summary()
         if failure_text:
             lines.append(failure_text)
@@ -571,18 +520,9 @@ class SweepExecutor:
     retry:
         :class:`~repro.sim.retry.RetryPolicy` for failing attempts
         (default: no retries — fail fast into the point record).
-    schedule:
-        ``"uniform"`` (each point runs start to finish as one work
-        item) or ``"adaptive"`` (points advance in chunk rounds through
-        :func:`repro.sim.scheduler.run_adaptive`; converged points drop
-        out and the freed budget drains to the unconverged tail).  Both
-        schedules produce bit-identical per-point results and share
-        cache entries and checkpoints; adaptive requires a task with
-        ``make_accumulator`` (e.g. :class:`BerSweepTask`).
     """
 
     BACKENDS = ("serial", "process")
-    SCHEDULES = ("uniform", "adaptive")
 
     @classmethod
     def from_env(
@@ -599,7 +539,6 @@ class SweepExecutor:
         * ``REPRO_SWEEP_TIMEOUT``      — per-point timeout, seconds (> 0)
         * ``REPRO_SWEEP_MAX_RETRIES``  — retry budget per point (>= 0)
         * ``REPRO_SWEEP_BACKOFF_BASE`` — first-retry backoff, seconds (> 0)
-        * ``REPRO_SWEEP_SCHEDULE``     — ``uniform`` (default) or ``adaptive``
 
         The benchmark suite and CI go through this hook, so
         ``REPRO_SWEEP_BACKEND=process pytest benchmarks/`` parallelises
@@ -608,9 +547,9 @@ class SweepExecutor:
         """
         env = os.environ if environ is None else environ
         backend = env.get("REPRO_SWEEP_BACKEND", "serial")
-        schedule = env.get("REPRO_SWEEP_SCHEDULE", "uniform")
-        workers_raw = env.get("REPRO_SWEEP_WORKERS", "")
-        max_workers = _env_int("REPRO_SWEEP_WORKERS", workers_raw)
+        max_workers = _env_int(
+            "REPRO_SWEEP_WORKERS", env.get("REPRO_SWEEP_WORKERS", "")
+        )
         cache_dir = env.get("REPRO_SWEEP_CACHE", "")
         cache = ResultCache(cache_dir) if cache_dir else None
         timeout_s = _env_float(
@@ -624,6 +563,15 @@ class SweepExecutor:
         )
         # Range checks mirror the constructor/RetryPolicy validation but
         # name the offending environment variable in the message.
+        if backend not in cls.BACKENDS:
+            raise ValueError(
+                f"REPRO_SWEEP_BACKEND must be one of {cls.BACKENDS}, "
+                f"got {backend!r}"
+            )
+        if max_workers is not None and max_workers < 1:
+            raise ValueError(
+                f"REPRO_SWEEP_WORKERS must be >= 1, got {max_workers!r}"
+            )
         if timeout_s is not None and timeout_s <= 0:
             raise ValueError(
                 f"REPRO_SWEEP_TIMEOUT must be > 0, got {timeout_s!r}"
@@ -651,7 +599,6 @@ class SweepExecutor:
             on_progress=on_progress,
             timeout_s=timeout_s,
             retry=retry,
-            schedule=schedule,
         )
 
     def __init__(
@@ -663,22 +610,16 @@ class SweepExecutor:
         on_progress: Callable[[PointRecord], None] | None = None,
         timeout_s: float | None = None,
         retry: RetryPolicy | None = None,
-        schedule: str = "uniform",
     ):
         if backend not in self.BACKENDS:
             raise ValueError(
                 f"unknown backend {backend!r}; choose from {self.BACKENDS}"
-            )
-        if schedule not in self.SCHEDULES:
-            raise ValueError(
-                f"unknown schedule {schedule!r}; choose from {self.SCHEDULES}"
             )
         if max_workers is not None and max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         if timeout_s is not None and not timeout_s > 0:
             raise ValueError(f"timeout_s must be > 0, got {timeout_s}")
         self.backend = backend
-        self.schedule = schedule
         self.max_workers = max_workers
         self.cache = cache
         self.on_progress = on_progress
@@ -729,12 +670,6 @@ class SweepExecutor:
         """
         if resume and checkpoint is None:
             raise ValueError("resume=True requires a checkpoint")
-        if self.schedule == "adaptive" and not hasattr(task, "make_accumulator"):
-            raise ValueError(
-                "schedule='adaptive' needs a task exposing "
-                "make_accumulator(value, seed) (e.g. BerSweepTask); "
-                f"{type(task).__name__} does not — use the uniform schedule"
-            )
         start = time.perf_counter()
         vals = [float(v) for v in values]
         n = len(vals)
@@ -844,7 +779,6 @@ class SweepExecutor:
             self._emit(records[i])
 
         retried = 0
-        rounds = 0
 
         def _run_serially(indices: list[int]) -> None:
             nonlocal retried
@@ -885,28 +819,7 @@ class SweepExecutor:
                         _finish_ok(i, metric, seconds)
                         break
 
-        if self.schedule == "adaptive":
-            from repro.sim.scheduler import run_adaptive
-
-            outcome = run_adaptive(
-                task=task,
-                vals=vals,
-                children=children,
-                pending=pending,
-                states=states,
-                finish_ok=_finish_ok,
-                finish_failed=_finish_failed,
-                backend=self.backend,
-                workers=self._workers_for(len(pending)),
-                timeout_s=self.timeout_s,
-                retry=self.retry,
-                seed=seed,
-                faults=faults,
-            )
-            retried = outcome.retried
-            rounds = outcome.rounds
-            degraded = outcome.degraded
-        elif self.backend == "serial" or len(pending) <= 1:
+        if self.backend == "serial" or len(pending) <= 1:
             _run_serially(pending)
         else:
             workers = self._workers_for(len(pending))
@@ -1007,8 +920,6 @@ class SweepExecutor:
             recovered=recovered,
             resumed=resumed_count,
             degraded=degraded,
-            schedule=self.schedule,
-            rounds=rounds,
         )
 
 
@@ -1043,7 +954,6 @@ def run_sweep(
     on_progress: Callable[[PointRecord], None] | None = None,
     timeout_s: float | None = None,
     retry: RetryPolicy | None = None,
-    schedule: str = "uniform",
     faults: Any = None,
     checkpoint: SweepCheckpoint | str | os.PathLike | None = None,
     resume: bool = False,
@@ -1056,7 +966,6 @@ def run_sweep(
         on_progress=on_progress,
         timeout_s=timeout_s,
         retry=retry,
-        schedule=schedule,
     )
     return executor.run(
         values, task, seed=seed, faults=faults, checkpoint=checkpoint, resume=resume

@@ -10,7 +10,7 @@ logged, never silent).
 
 Exactness contract — the *statistical tier*
 -------------------------------------------
-Unlike the ``serial``/``vectorized``/``fused`` backends, the fast tier
+Unlike the exact ``serial``/``fused`` backends, the fast tier
 is **not** bit-identical to the reference.  It draws the same random
 variates from the same distributions but in bulk order (one array call
 per stage instead of the documented per-frame interleave), runs the
@@ -51,11 +51,10 @@ class FastLinkSimulator(BatchLinkSimulator):
     """Statistical fast tier: whole-budget scoring in single precision.
 
     Besides the build of its single-precision constants, only
-    :meth:`_score_frames` changes; :meth:`simulate_point` (the
-    budget loop with frame-exact early exit) and :meth:`simulate` (the
-    bit-exact per-frame API) are inherited unchanged, so the stopping
-    rule and the public surface match the fused tier exactly — only the
-    per-frame ``(errors, detected)`` numbers come from the fast chain.
+    :meth:`_score_frames` changes; :meth:`simulate_point` (the budget
+    loop with frame-exact early exit) is inherited unchanged, so the
+    stopping rule matches the fused tier exactly — only the per-frame
+    ``(errors, detected)`` numbers come from the fast chain.
     """
 
     # -- precomputation ----------------------------------------------------

@@ -13,15 +13,14 @@ Two paths:
 Both are deterministic given a seed.  ``estimate_link_ber`` also
 accepts a :class:`numpy.random.SeedSequence`, which is how the sweep
 executor (:mod:`repro.sim.executor`) hands each sweep point its own
-independent, reproducible stream — and its result is **invariant to
-the chunk size** used for frame batching, the property the
-determinism test suite pins down.
+independent, reproducible stream — and its result is **byte-identical
+on both exact backends** (``serial`` and ``fused``), the property the
+golden-fingerprint suite pins down.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,21 +39,20 @@ __all__ = [
 
 #: Valid frame-chain backends for :func:`estimate_link_ber`.
 #:
-#: ``serial``, ``vectorized`` and ``fused`` are **bit-exact tiers**:
-#: they return byte-identical estimates for any seed, chunking and
-#: scheduling (and therefore share sweep-cache entries).  ``fast`` is
+#: ``serial`` and ``fused`` are the **bit-exact tiers**: they return
+#: byte-identical estimates for any seed (and therefore share
+#: sweep-cache entries).  ``fast`` is
 #: the **statistical tier**: a float32 fused program with bulk RNG
 #: draws and optional numba kernels — same physics, different
 #: floating-point sums — gated by the statistical-equivalence suite
 #: rather than golden fingerprints, with its own cache keyspace.
-LINK_BER_BACKENDS = ("serial", "vectorized", "fused", "fast")
+LINK_BER_BACKENDS = ("serial", "fused", "fast")
 
 #: The backends whose estimates are bit-identical to ``serial``.
-BIT_EXACT_BACKENDS = ("serial", "vectorized", "fused")
+BIT_EXACT_BACKENDS = ("serial", "fused")
 
-def _check_budget(
-    target_errors: int, max_bits: int, bits_per_frame: int, chunk_frames: int
-) -> None:
+
+def _check_budget(target_errors: int, max_bits: int, bits_per_frame: int) -> None:
     """Reject an estimator budget that cannot converge or make progress."""
     if target_errors < 1:
         raise ValueError(f"target_errors must be >= 1, got {target_errors}")
@@ -64,8 +62,6 @@ def _check_budget(
         raise ValueError(
             f"max_bits ({max_bits}) must cover one frame ({bits_per_frame} bits)"
         )
-    if chunk_frames < 1:
-        raise ValueError(f"chunk_frames must be >= 1, got {chunk_frames}")
 
 
 def _shared_simulator(config: LinkConfig, bits_per_frame: int, fast: bool = False):
@@ -159,24 +155,12 @@ class BerEstimate:
 
 
 class LinkBerAccumulator:
-    """Resumable, picklable BER-estimator state: one chunk per step.
+    """BER-estimator state for one operating point.
 
-    The accumulator owns exactly the loop body of
-    :func:`estimate_link_ber` — same RNG, same per-chunk frame loop,
-    same frame-exact stopping rule — factored out so the adaptive sweep
-    scheduler (:mod:`repro.sim.scheduler`) can interleave chunks of many
-    points while each point's final :class:`BerEstimate` stays
-    **byte-identical** to a standalone ``estimate_link_ber`` call with
-    the same seed, chunking and backend (``estimate_link_ber`` itself
-    is now a thin driver around this class, so the equivalence holds by
-    construction).
-
-    Pickling ships the counters and the generator state (NumPy
-    ``Generator`` pickling is bit-exact) between scheduler rounds and
-    process-pool workers; the batch simulator is dropped on pickle and
-    rebuilt on first use on the other side, from the process-wide
-    distance-free build state (see
-    :class:`~repro.sim.batch.BatchLinkSimulator`).
+    The accumulator owns the loop body of :func:`estimate_link_ber`:
+    the RNG, the error/bit/frame counters and the frame-exact stopping
+    rule.  One :meth:`advance` runs the whole budget, so
+    ``estimate_link_ber`` is a thin driver around this class.
     """
 
     def __init__(
@@ -186,11 +170,10 @@ class LinkBerAccumulator:
         target_errors: int = 100,
         max_bits: int = 200_000,
         bits_per_frame: int = 2048,
-        chunk_frames: int = 1,
         backend: str = "serial",
         seed: int | np.random.SeedSequence = 0,
     ) -> None:
-        _check_budget(target_errors, max_bits, bits_per_frame, chunk_frames)
+        _check_budget(target_errors, max_bits, bits_per_frame)
         if backend not in LINK_BER_BACKENDS:
             raise ValueError(
                 f"unknown backend {backend!r}; choose from {LINK_BER_BACKENDS}"
@@ -199,84 +182,60 @@ class LinkBerAccumulator:
         self.target_errors = int(target_errors)
         self.max_bits = int(max_bits)
         self.bits_per_frame = int(bits_per_frame)
-        self.chunk_frames = int(chunk_frames)
         self.backend = backend
         self.errors = 0
         self.bits = 0
         self.frames = 0
         self.detected = 0
         self._rng = np.random.default_rng(seed)
-        self._simulator = None
 
     @property
     def done(self) -> bool:
-        """The estimator's stopping rule (chunk-granular, like the loop)."""
+        """The estimator's stopping rule."""
         return self.errors >= self.target_errors or self.bits >= self.max_bits
 
-    def _ensure_simulator(self):
-        if self._simulator is None:
-            self._simulator = _shared_simulator(
-                self.config, self.bits_per_frame, fast=self.backend == "fast"
-            )
-        return self._simulator
-
     def advance(self) -> "LinkBerAccumulator":
-        """Simulate one chunk (no-op once :attr:`done`); returns ``self``.
+        """Simulate the whole remaining budget (no-op once :attr:`done`);
+        returns ``self``.
 
-        This is byte for byte the chunk body of the estimator loop: the
-        stopping rule is checked frame-exactly inside the chunk, so
-        overshoot frames of a vectorized chunk are dropped and the
-        accumulated state is invariant to when/where chunks run.
-
-        The ``fused`` and ``fast`` backends hand the **whole remaining
-        budget** to one fused :meth:`simulate_point` call instead of a
-        chunk — a single ``advance()`` drives the point to :attr:`done`
-        (``chunk_frames`` is irrelevant to them), with the stopping rule
-        applied frame-exactly inside the array program.
+        ``serial`` runs :func:`~repro.core.link.simulate_link` frame by
+        frame, checking the stopping rule before each frame.  ``fused``
+        and ``fast`` hand the budget to one
+        :meth:`~repro.sim.batch.BatchLinkSimulator.simulate_point` call,
+        which applies the same rule frame-exactly inside the array
+        program.  Either way the accumulator is :attr:`done` afterwards.
         """
         if self.done:
             return self
-        if self.backend in ("fused", "fast"):
-            simulator = self._ensure_simulator()
-            bits_per_scored_frame = simulator._padded_bits
-            # Frames the serial loop would still admit under the bit
-            # budget: the rule is checked *before* each frame, so the
-            # frame that crosses max_bits is still simulated.
-            max_frames = -((self.bits - self.max_bits) // bits_per_scored_frame)
-            errors, detected = simulator.simulate_point(
-                self._rng,
-                errors_needed=self.target_errors - self.errors,
-                max_frames=max_frames,
-            )
-            self.errors += int(errors.sum())
-            self.bits += errors.size * bits_per_scored_frame
-            self.frames += int(errors.size)
-            self.detected += int(np.count_nonzero(detected))
-        elif self.backend == "vectorized":
-            # One batched pass per chunk; accumulate frame by frame so
-            # the stopping rule stays frame-exact (overshoot frames are
-            # dropped, leaving the estimate chunk-size invariant).
-            simulator = self._ensure_simulator()
-            for result in simulator.simulate(self.chunk_frames, self._rng):
-                if self.errors >= self.target_errors or self.bits >= self.max_bits:
-                    break
-                self._absorb(result)
-        else:
-            for _ in range(self.chunk_frames):
-                if self.errors >= self.target_errors or self.bits >= self.max_bits:
-                    break
+        if self.backend == "serial":
+            while not self.done:
                 result = simulate_link(
                     self.config, num_payload_bits=self.bits_per_frame, rng=self._rng
                 )
-                self._absorb(result)
+                self.errors += result.bit_errors
+                self.bits += result.num_payload_bits
+                self.frames += 1
+                if result.detected:
+                    self.detected += 1
+            return self
+        simulator = _shared_simulator(
+            self.config, self.bits_per_frame, fast=self.backend == "fast"
+        )
+        bits_per_scored_frame = simulator._padded_bits
+        # Frames the serial loop would still admit under the bit
+        # budget: the rule is checked *before* each frame, so the
+        # frame that crosses max_bits is still simulated.
+        max_frames = -((self.bits - self.max_bits) // bits_per_scored_frame)
+        errors, detected = simulator.simulate_point(
+            self._rng,
+            errors_needed=self.target_errors - self.errors,
+            max_frames=max_frames,
+        )
+        self.errors += int(errors.sum())
+        self.bits += errors.size * bits_per_scored_frame
+        self.frames += int(errors.size)
+        self.detected += int(np.count_nonzero(detected))
         return self
-
-    def _absorb(self, result) -> None:
-        self.errors += result.bit_errors
-        self.bits += result.num_payload_bits
-        self.frames += 1
-        if result.detected:
-            self.detected += 1
 
     def estimate(self) -> BerEstimate:
         """The estimate accumulated so far."""
@@ -288,11 +247,6 @@ class LinkBerAccumulator:
             target_errors=self.target_errors,
         )
 
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["_simulator"] = None  # rebuilt on first use after unpickle
-        return state
-
 
 def estimate_link_ber(
     config: LinkConfig,
@@ -300,8 +254,6 @@ def estimate_link_ber(
     max_bits: int = 200_000,
     bits_per_frame: int = 2048,
     seed: int | np.random.SeedSequence = 0,
-    chunk_frames: int = 1,
-    progress: Callable[[int, int, int], None] | None = None,
     backend: str = "serial",
 ) -> BerEstimate:
     """Estimate the link BER by simulating frames until convergence.
@@ -314,53 +266,31 @@ def estimate_link_ber(
     seed:
         Integer seed or a :class:`numpy.random.SeedSequence` (the sweep
         executor spawns one per point for independent streams).
-    chunk_frames:
-        Frames simulated per batch between bookkeeping/progress
-        callbacks.  The stopping rule is checked frame-exactly inside
-        each chunk, so the returned estimate is **byte-identical for
-        every chunk size** — chunking only coarsens the progress
-        granularity and amortises loop overhead.
-    progress:
-        Optional hook called after each chunk with
-        ``(frames, bits, errors)`` accumulated so far.
     backend:
         ``"serial"`` simulates frames one at a time through
-        :func:`repro.core.link.simulate_link`; ``"vectorized"`` runs
-        each chunk through :class:`repro.sim.batch.BatchLinkSimulator`,
-        which draws RNG variates per frame in the documented serial
-        order and therefore returns **bit-identical** estimates for any
-        seed and chunk size (frames simulated past a stop condition
-        consume RNG state that the serial path would never draw, but
-        those frames are discarded before scoring, so the accumulated
-        estimate is unaffected).  Every configuration batches exactly —
-        Rician fading and blockage included; the old serial fallback
-        for those configs is gone.
-
-        ``"fused"`` hands the whole remaining frame budget to one
-        fused :meth:`~repro.sim.batch.BatchLinkSimulator.simulate_point`
+        :func:`repro.core.link.simulate_link` — the exactness oracle.
+        ``"fused"`` hands the whole frame budget to one
+        :meth:`~repro.sim.batch.BatchLinkSimulator.simulate_point`
         array program (geometrically-growing blocks, frame-exact early
-        exit on ``target_errors``) with no per-chunk re-entry into
-        Python; it is bit-identical to the other two and ignores
-        ``chunk_frames``.  ``"fast"`` is the compiled/float32
-        **statistical tier** (:mod:`repro.sim.fastlink`): same physics,
-        different floating-point sums and RNG batching — validated by
-        the statistical-equivalence suite, never byte-compared, and
-        cached under its own keyspace.
+        exit on ``target_errors``).  It draws RNG variates per frame in
+        the documented serial order and therefore returns a
+        **bit-identical** estimate for any seed; frames simulated past
+        the stop inside the final block consume generator state the
+        serial path never draws, but are discarded before scoring.
+        ``"fast"`` is the compiled/float32 **statistical tier**
+        (:mod:`repro.sim.fastlink`): same physics, different
+        floating-point sums and RNG batching — validated by the
+        statistical-equivalence suite, never byte-compared, and cached
+        under its own keyspace.
     """
-    accumulator = LinkBerAccumulator(
+    return LinkBerAccumulator(
         config,
         target_errors=target_errors,
         max_bits=max_bits,
         bits_per_frame=bits_per_frame,
-        chunk_frames=chunk_frames,
         backend=backend,
         seed=seed,
-    )
-    while not accumulator.done:
-        accumulator.advance()
-        if progress is not None:
-            progress(accumulator.frames, accumulator.bits, accumulator.errors)
-    return accumulator.estimate()
+    ).advance().estimate()
 
 
 def awgn_symbol_ber(

@@ -19,45 +19,20 @@ wall-clock via :func:`time.perf_counter`.  Workloads are sized so the
 reference side runs long enough to dominate timer noise; ``--quick``
 shrinks them to CI scale (ratios get noisier but stay meaningful).
 
-The end-to-end link benchmark times :meth:`BatchLinkSimulator.simulate`
-with the simulator prebuilt — matching how ``estimate_link_ber``'s
-vectorized backend amortises construction across chunks.  Its speedup
-is intentionally smaller than the per-kernel numbers: the batch shares
-the reference's bit-exact per-frame costs (RNG draw order, preamble
-correlation, decode tail), which Amdahl-bounds the whole chain.
-
-PR 4 adds the stochastic-channel and scheduling entries:
+The link entries:
 
 * ``multipath_apply`` — :meth:`MultipathChannel.apply` with the cached
   tap grid and shared-FFT delay operator versus the original
   per-``Signal`` reference (kept as ``_apply_reference``);
-* ``link_rician_end_to_end`` — the fading frame chain, which used to
-  fall back to the serial loop and now batches.  Read its ratio with
-  the bit-exactness constraint in mind: the FFT delay operator and the
-  fractional-delay phase ramps are *shared* irreducible per-frame cost
-  on both sides (no linearity shortcuts allowed — they change the
-  floating-point sums), and the same PR's ``multipath_apply`` fix sped
-  the reference side up too, so the honest ratio here is far below the
-  interpreter-bound kernels above;
-* ``sweep_adaptive_vs_uniform`` — a 12-point E3-style Rician waterfall
-  through the sweep engine: the pre-PR posture (uniform schedule,
-  serial link backend) versus this PR's (adaptive chunk rounds +
-  vectorized fading kernels), bit-identical results either way.  On a
-  single-CPU runner the adaptive schedule cannot shrink wall-clock on
-  its own (it reallocates *worker slots*, and there is only one); the
-  measured win is the vectorized backend plus simulator memoisation,
-  and grows with worker count.
-
-PR 9 adds the whole-budget and compiled-tier entries:
-
 * ``link_end_to_end_fused`` / ``link_rician_end_to_end_fused`` — the
   serial per-frame loop versus one fused ``simulate_point`` call that
-  takes the whole frame budget.  Still bit-exact, so still
-  Amdahl-bounded: the per-frame RNG draw order, the 1-D sync
-  correlation and the IIR/FIR filter passes are part of the bit-exact
-  contract and cannot be reassociated — the fused ratio measures the
-  per-chunk Python re-entry this PR removes, not a new asymptotic
-  regime;
+  takes the whole frame budget, with the simulator prebuilt.  Still
+  bit-exact, so Amdahl-bounded: the per-frame RNG draw order, the 1-D
+  sync correlation and the IIR/FIR filter passes are part of the
+  bit-exact contract and cannot be reassociated, and on the fading
+  chain both sides pay the same FFT delay operator and
+  fractional-delay phase ramps per frame.  The ratio is therefore far
+  below the interpreter-bound kernels above;
 * ``link_fast_tier`` — the serial loop versus the statistical fast
   tier (:class:`repro.sim.fastlink.FastLinkSimulator`): single
   precision, bulk RNG, batched FFT sync, quantised Rician taps, with
@@ -234,41 +209,6 @@ def _bench_frame_tx(quick: bool) -> KernelBench:
     )
 
 
-def _bench_link_end_to_end(quick: bool) -> KernelBench:
-    """Whole link chain: per-frame simulate_link vs the batched kernel.
-
-    The simulator is prebuilt (as the vectorized BER backend does);
-    the speedup is Amdahl-bounded by the bit-exact per-frame stages the
-    batch shares with the reference (RNG order, sync correlation,
-    decode tail) — report it honestly rather than cherry-picking.
-    """
-    num_frames = 4 if quick else 10
-    num_bits = 2048
-    repeats = 1 if quick else 2
-    config = LinkConfig()
-    simulator = BatchLinkSimulator(config, num_payload_bits=num_bits)
-
-    def reference() -> None:
-        rng = np.random.default_rng(3)
-        for _ in range(num_frames):
-            simulate_link(config, num_payload_bits=num_bits, rng=rng)
-
-    def vectorized() -> None:
-        rng = np.random.default_rng(3)
-        simulator.simulate(num_frames, rng)
-
-    reference_s = _best_of(reference, repeats)
-    vectorized_s = _best_of(vectorized, repeats)
-    return KernelBench(
-        name="link_end_to_end",
-        description="full frame chain (modulate->channel->noise->demod), batched",
-        reference_s=reference_s,
-        vectorized_s=vectorized_s,
-        repeats=repeats,
-        params={"frames": num_frames, "payload_bits": num_bits},
-    )
-
-
 def _bench_multipath_apply(quick: bool) -> KernelBench:
     """MultipathChannel.apply: per-call tap rebuild + per-path FFTs vs
     the cached tap grid, shared forward FFTs, and the per-shape delay
@@ -314,61 +254,15 @@ def _bench_multipath_apply(quick: bool) -> KernelBench:
     )
 
 
-def _bench_link_rician_end_to_end(quick: bool) -> KernelBench:
-    """Fading frame chain: serial simulate_link loop vs the batched
-    stochastic-channel kernels (the configs that used to hit the
-    silent serial fallback).
-
-    Honest-ratio caveat: both sides pay the same bit-exact FFT delay
-    operator and fractional-delay phase ramps per frame (linearity
-    shortcuts would change the floating-point sums), and the
-    ``multipath_apply`` fix above sped the reference side up as well,
-    so this ratio is structurally far below the interpreter-bound
-    kernels — it measures the remaining per-frame Python overhead that
-    batching can actually remove.
-    """
-    num_frames = 4 if quick else 10
-    num_bits = 2048
-    repeats = 1 if quick else 2
-    config = LinkConfig(rician_k_db=6.0)
-    simulator = BatchLinkSimulator(config, num_payload_bits=num_bits)
-
-    def reference() -> None:
-        rng = np.random.default_rng(3)
-        for _ in range(num_frames):
-            simulate_link(config, num_payload_bits=num_bits, rng=rng)
-
-    def vectorized() -> None:
-        rng = np.random.default_rng(3)
-        simulator.simulate(num_frames, rng)
-
-    reference_s = _best_of(reference, repeats)
-    vectorized_s = _best_of(vectorized, repeats)
-    return KernelBench(
-        name="link_rician_end_to_end",
-        description=(
-            "full fading frame chain (Rician K=6 dB), batched channel "
-            "kernels vs per-frame loop; ratio is bit-exactness-bounded "
-            "(shared FFT delay operator on both sides)"
-        ),
-        reference_s=reference_s,
-        vectorized_s=vectorized_s,
-        repeats=repeats,
-        params={"frames": num_frames, "payload_bits": num_bits, "rician_k_db": 6.0},
-    )
-
-
 def _bench_link_end_to_end_fused(quick: bool) -> KernelBench:
     """Whole-budget fused program vs the per-frame serial loop.
 
     One ``simulate_point`` call takes the entire frame budget (the
-    ``backend="fused"`` estimator path) instead of re-entering Python
-    per chunk.  Bit-exact, therefore Amdahl-bounded: the serial-order
-    RNG pass, the per-row sync correlation and the IIR/FIR filter
-    passes are contractually shared with the reference, so the honest
-    ratio sits near the vectorized chain's — what the fused program
-    buys is the frame-exact whole-budget stopping rule with *no*
-    per-chunk re-entry, which is what the sweep executor runs.
+    ``backend="fused"`` estimator path).  Bit-exact, therefore
+    Amdahl-bounded: the serial-order RNG pass, the per-row sync
+    correlation and the IIR/FIR filter passes are contractually shared
+    with the reference — report the ratio honestly rather than
+    cherry-picking.
     """
     num_frames = 4 if quick else 12
     num_bits = 2048
@@ -485,63 +379,6 @@ def _bench_link_fast_tier(quick: bool) -> KernelBench:
     )
 
 
-def _bench_sweep_adaptive_vs_uniform(quick: bool) -> KernelBench:
-    """12-point E3-style Rician waterfall through the sweep engine.
-
-    Reference: the pre-PR posture — uniform schedule, serial link
-    backend, chunk_frames=1.  Vectorized: this PR's posture — adaptive
-    chunk rounds + vectorized fading kernels.  Results are
-    bit-identical point for point (pinned by tests/test_sim_scheduler);
-    only the wall-clock differs.  On a 1-CPU runner the adaptive
-    schedule contributes load-balancing only when there are worker
-    slots to rebalance, so the measured single-worker ratio is the
-    vectorized-backend + simulator-memoisation share.
-    """
-    from repro.sim.executor import BerSweepTask, run_sweep
-
-    num_points = 6 if quick else 12
-    # _best_of already runs one untimed warm-up sweep; >= 2 timed
-    # repeats keep the CI regression gate (floor 0.6x) from failing on
-    # a single noisy run of this comparatively long benchmark.
-    repeats = 2
-    config = LinkConfig(rician_k_db=6.0)
-    values = list(np.linspace(2.0, 13.0, num_points))
-    common = dict(
-        config=config,
-        param="distance_m",
-        target_errors=10,
-        max_bits=8_192 if quick else 12_288,
-        bits_per_frame=1024,
-    )
-    before = BerSweepTask(chunk_frames=1, link_backend="serial", **common)
-    after = BerSweepTask(chunk_frames=8, link_backend="vectorized", **common)
-
-    reference_s = _best_of(
-        lambda: run_sweep(values, before, schedule="uniform", seed=0), repeats
-    )
-    vectorized_s = _best_of(
-        lambda: run_sweep(values, after, schedule="adaptive", seed=0), repeats
-    )
-    return KernelBench(
-        name="sweep_adaptive_vs_uniform",
-        description=(
-            f"{num_points}-point Rician waterfall sweep: uniform schedule + "
-            "serial link backend vs adaptive rounds + vectorized kernels "
-            "(bit-identical results; 1-CPU ratio excludes the multi-worker "
-            "load-balancing win)"
-        ),
-        reference_s=reference_s,
-        vectorized_s=vectorized_s,
-        repeats=repeats,
-        params={
-            "points": num_points,
-            "target_errors": 10,
-            "chunk_frames_after": 8,
-            "rician_k_db": 6.0,
-        },
-    )
-
-
 def _bench_netsim_event_engine(quick: bool) -> KernelBench:
     """Metro MAC at scale: serial engine vs sharded plan/execute/replay.
 
@@ -625,13 +462,10 @@ def _bench_vanatta(quick: bool) -> KernelBench:
 _BENCHES = (
     _bench_viterbi,
     _bench_frame_tx,
-    _bench_link_end_to_end,
     _bench_multipath_apply,
-    _bench_link_rician_end_to_end,
     _bench_link_end_to_end_fused,
     _bench_link_rician_end_to_end_fused,
     _bench_link_fast_tier,
-    _bench_sweep_adaptive_vs_uniform,
     _bench_netsim_event_engine,
     _bench_vanatta,
 )

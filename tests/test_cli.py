@@ -23,6 +23,17 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["link", "--modulation", "1024QAM"])
 
+    @pytest.mark.parametrize(
+        "command", [["sweep"], ["netsim", "--sweep-tags", "10,20"]],
+        ids=["sweep", "netsim"],
+    )
+    @pytest.mark.parametrize("width", ["0", "-2"])
+    def test_bad_worker_count_exit_two(self, command, width, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(command + ["--workers", width])
+        assert exited.value.code == 2
+        assert "argument --workers: must be >= 1" in capsys.readouterr().err
+
 
 class TestLinkCommand:
     def test_successful_link_exit_zero(self, capsys):
@@ -62,9 +73,7 @@ class TestSweepCommand:
         code = main(["sweep", "--start", "5", "--stop", "2"])
         assert code == 2
 
-    @pytest.mark.parametrize(
-        "flag,value", [("--target-errors", "0"), ("--chunk-frames", "-1")]
-    )
+    @pytest.mark.parametrize("flag,value", [("--target-errors", "0")])
     def test_bad_ber_budget_exit_two(self, flag, value, capsys):
         code = main([
             "sweep", "--metric", "ber", "--points", "2", "--max-retries", "2",
@@ -75,8 +84,7 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize(
         "flag,value",
-        [("--target-errors", "30"), ("--chunk-frames", "1"),
-         ("--link-backend", "serial")],
+        [("--target-errors", "30"), ("--link-backend", "serial")],
     )
     def test_ber_only_flag_with_snr_exit_two(self, flag, value, capsys):
         assert main(["sweep", "--points", "2", flag, value]) == 2
@@ -85,7 +93,6 @@ class TestSweepCommand:
     def test_ber_only_flags_default_unset(self):
         args = build_parser().parse_args(["sweep"])
         assert args.target_errors is None
-        assert args.chunk_frames is None
         assert args.link_backend is None
 
 
@@ -348,17 +355,20 @@ class TestCacheCommand:
 
 
 class TestSweepLinkBackend:
-    def test_parser_accepts_vectorized(self):
+    def test_parser_accepts_fused(self):
         args = build_parser().parse_args(
-            ["sweep", "--metric", "ber", "--link-backend", "vectorized"]
+            ["sweep", "--metric", "ber", "--link-backend", "fused"]
         )
-        assert args.link_backend == "vectorized"
+        assert args.link_backend == "fused"
 
-    def test_parser_rejects_unknown_backend(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["sweep", "--link-backend", "gpu"])
+    def test_parser_rejects_unknown_backend(self, capsys):
+        for backend in ("gpu", "vectorized"):
+            with pytest.raises(SystemExit) as exited:
+                build_parser().parse_args(["sweep", "--link-backend", backend])
+            assert exited.value.code == 2
+            assert "'fused'" in capsys.readouterr().err
 
-    def test_vectorized_ber_sweep_matches_serial(self, capsys):
+    def test_fused_ber_sweep_matches_serial(self, capsys):
         argv = ["sweep", "--metric", "ber", "--start", "2", "--stop", "14",
                 "--points", "3", "--target-errors", "5", "--seed", "0"]
         def numbers_only(text):
@@ -370,11 +380,11 @@ class TestSweepLinkBackend:
 
         assert main(argv + ["--link-backend", "serial"]) == 0
         serial_out = capsys.readouterr().out
-        assert main(argv + ["--link-backend", "vectorized"]) == 0
-        vectorized_out = capsys.readouterr().out
-        # identical numbers, not merely similar: the batched kernel is
+        assert main(argv + ["--link-backend", "fused"]) == 0
+        fused_out = capsys.readouterr().out
+        # identical numbers, not merely similar: the fused kernel is
         # bit-identical to the serial frame chain
-        assert numbers_only(serial_out) == numbers_only(vectorized_out)
+        assert numbers_only(serial_out) == numbers_only(fused_out)
 
 
 class TestBenchCommand:

@@ -2,11 +2,11 @@
 
 The ``"fused"`` tier hands the entire remaining frame budget to one
 :meth:`~repro.sim.batch.BatchLinkSimulator.simulate_point` array
-program instead of re-entering Python per chunk.  Its contract is
-**byte identity** with the serial reference: same RNG serial order per
-frame, frame-exact early exit on ``target_errors``, invariant to chunk
-sizes, block-growth schedules, executor schedules, and which bit-exact
-tier warmed the cache.  These tests pin every face of that contract.
+program.  Its contract is **byte identity** with the serial
+reference: same RNG serial order per frame, frame-exact early exit on
+``target_errors``, invariant to block-growth schedules and to which
+bit-exact tier warmed the cache.  These tests pin every face of that
+contract.
 """
 
 from __future__ import annotations
@@ -33,33 +33,21 @@ _RICIAN = LinkConfig(
 )
 
 
-def _estimate(config, backend, *, chunk_frames=1, target_errors=50,
-              max_bits=24_576):
+def _estimate(config, backend, *, target_errors=50, max_bits=24_576):
     return estimate_link_ber(
         config,
         target_errors=target_errors,
         max_bits=max_bits,
         bits_per_frame=2048,
         seed=0,
-        chunk_frames=chunk_frames,
         backend=backend,
     )
 
 
 class TestByteIdentity:
     @pytest.mark.parametrize("config", [_NOISY, _RICIAN], ids=["awgn", "rician"])
-    def test_fused_equals_serial_and_vectorized(self, config):
-        serial = _estimate(config, "serial")
-        fused = _estimate(config, "fused")
-        vectorized = _estimate(config, "vectorized", chunk_frames=4)
-        assert fused == serial
-        assert fused == vectorized
-
-    @pytest.mark.parametrize("chunk_frames", [1, 3, 7, 64])
-    def test_fused_ignores_chunk_size(self, chunk_frames):
-        """chunk_frames is a no-op for the whole-budget program."""
-        baseline = _estimate(_NOISY, "fused", chunk_frames=1)
-        assert _estimate(_NOISY, "fused", chunk_frames=chunk_frames) == baseline
+    def test_fused_equals_serial(self, config):
+        assert _estimate(config, "fused") == _estimate(config, "serial")
 
     def test_early_exit_is_frame_exact(self):
         """A tiny error target must stop fused on the same frame as serial."""
@@ -93,7 +81,7 @@ class TestByteIdentity:
 
 class TestAccumulatorReplay:
     def test_accumulator_matches_driver(self):
-        """Stepping the accumulator chunk by chunk equals one-shot fused."""
+        """Advancing the accumulator to done equals the estimator."""
         accumulator = LinkBerAccumulator(
             _NOISY,
             target_errors=50,
@@ -106,39 +94,22 @@ class TestAccumulatorReplay:
             accumulator = accumulator.advance()
         assert accumulator.estimate() == _estimate(_NOISY, "fused")
 
-    def test_pickle_roundtrip_mid_flight(self):
-        """Fused accumulators stay picklable for the process backend."""
-        accumulator = LinkBerAccumulator(
-            _NOISY,
-            target_errors=2,
-            max_bits=24_576,
-            bits_per_frame=2048,
-            seed=0,
-            backend="fused",
-        )
-        revived = pickle.loads(pickle.dumps(accumulator))
-        while not revived.done:
-            revived = revived.advance()
-        assert revived.estimate() == _estimate(_NOISY, "fused", target_errors=2)
-
 
 class TestCacheKeyspace:
-    def _task(self, backend, chunk_frames=1):
+    def _task(self, backend):
         return BerSweepTask(
             config=_NOISY,
             target_errors=20,
             max_bits=8_192,
             bits_per_frame=2048,
-            chunk_frames=chunk_frames,
             link_backend=backend,
         )
 
     def test_bit_exact_tiers_share_cache_entries(self):
-        """serial/vectorized/fused (any chunking) → one cache key."""
+        """serial and fused → one cache key."""
         keys = {
-            pickle.dumps(self._task(backend, chunk).cache_parts(13.0))
+            pickle.dumps(self._task(backend).cache_parts(13.0))
             for backend in BIT_EXACT_BACKENDS
-            for chunk in (1, 8)
         }
         assert len(keys) == 1
 
@@ -162,11 +133,10 @@ class TestCacheKeyspace:
             pickle.dumps(p.metric) for p in warm.points
         ]
 
-    @pytest.mark.parametrize("schedule", ["uniform", "adaptive"])
-    def test_schedules_agree_under_fused(self, schedule):
-        """Uniform and adaptive schedules return identical fused points."""
+    def test_fused_sweep_matches_serial_sweep(self):
+        """A computed fused sweep returns the serial sweep's points."""
         values = [12.0, 13.0]
-        report = SweepExecutor("serial", schedule=schedule).run(
+        report = SweepExecutor("serial").run(
             values, self._task("fused"), seed=0
         )
         baseline = SweepExecutor("serial").run(

@@ -91,13 +91,13 @@ class TestTheoryAgreement:
 class TestFrozenFingerprints:
     """Exact values pinned at seed 0 — any numerics drift fails here."""
 
-    @pytest.mark.parametrize("backend", ["serial", "vectorized", "fused"])
+    @pytest.mark.parametrize("backend", ["serial", "fused"])
     def test_office_link_noisy_point_fingerprint(self, backend):
         """Full waveform chain at 13 m (non-zero errors: drift-sensitive).
 
-        Runs under the serial reference, the chunked vectorized kernel
-        AND the whole-budget fused program — all three are contracted
-        bit-identical, so they share one frozen fingerprint.
+        Runs under the serial reference AND the whole-budget fused
+        program — both are contracted bit-identical, so they share one
+        frozen fingerprint.
         """
         config = LinkConfig(distance_m=13.0, environment=Environment.typical_office())
         estimate = estimate_link_ber(
@@ -130,14 +130,13 @@ class TestFrozenFingerprints:
             target_errors=50,
         ), f"clean-link fingerprint drifted: {estimate}"
 
-    @pytest.mark.parametrize("backend", ["serial", "vectorized", "fused"])
+    @pytest.mark.parametrize("backend", ["serial", "fused"])
     def test_rician_link_fingerprint(self, backend):
         """Rician fading at 8 m: pins the per-frame channel-draw RNG order.
 
-        Runs under **all bit-exact backends** — the vectorized and
-        fused stochastic-channel kernels must reproduce the serial
-        chain bit for bit (there is no serial fallback for fading
-        configs any more).
+        Runs under **both bit-exact backends** — the fused
+        stochastic-channel kernels must reproduce the serial chain bit
+        for bit (there is no serial fallback for fading configs).
         """
         config = LinkConfig(
             distance_m=8.0,
@@ -160,7 +159,7 @@ class TestFrozenFingerprints:
             target_errors=50,
         ), f"rician fingerprint drifted ({backend}): {estimate}"
 
-    @pytest.mark.parametrize("backend", ["serial", "vectorized", "fused"])
+    @pytest.mark.parametrize("backend", ["serial", "fused"])
     def test_blockage_link_fingerprint(self, backend):
         """Blockage window at the 4 m point: pins the gain-vector stage."""
         config = LinkConfig(

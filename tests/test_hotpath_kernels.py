@@ -10,18 +10,16 @@ only*:
   constantly);
 * the byte-table CRC and LUT constellation mappers are integer-exact
   drop-ins for the bit-loop / dict-lookup references;
-* :func:`simulate_link_batch` reproduces consecutive
-  :func:`simulate_link` calls **bit for bit** (every scalar field and
-  every sample of the decoded symbol arrays) across modulations,
-  subcarrier/doppler/ADC variants — and, since the stochastic-channel
-  kernels landed, Rician fading and blockage windows too (there is no
-  serial fallback left to hide behind);
+* :meth:`BatchLinkSimulator.simulate_point` reproduces the per-frame
+  ``(bit_errors, detected)`` of consecutive :func:`simulate_link` calls
+  across modulations, subcarrier/doppler/ADC variants, LMS equalizers,
+  Rician fading and blockage windows;
 * :meth:`MultipathChannel.apply` (cached tap grid + shared-FFT kernel)
   and the row-batched :func:`apply_channels_to_rows` reproduce the
   per-``Signal`` reference implementation sample for sample;
-* the ``backend="vectorized"`` BER estimator returns byte-identical
-  :class:`BerEstimate`\\ s to the serial path for every chunk size,
-  randomized Rician K-factors and blockage plans included;
+* the ``backend="fused"`` BER estimator returns byte-identical
+  :class:`BerEstimate`\\ s to the serial path, randomized Rician
+  K-factors and blockage plans included;
 * :meth:`ResultCache.prune` evicts strictly least-recently-used.
 """
 
@@ -43,18 +41,15 @@ from repro.channel.multipath import (
     rician_channel,
 )
 from repro.dsp.signal import Signal
-from repro.core.coding import append_crc32, check_crc32, crc32
+from repro.core.coding import append_crc32, crc32
 from repro.core.convolutional import ConvolutionalCode, K7_CODE
 from repro.core.link import LinkConfig, simulate_link
 from repro.core.modulation import available_schemes, get_scheme
 from repro.sim.batch import (
     BatchLinkSimulator,
-    check_crc32_fast,
     crc32_tail_bits_fast,
     crc_bits_fast,
-    fast_modulate,
     fast_symbol_indices,
-    simulate_link_batch,
 )
 from repro.sim.cache import MISS, ResultCache
 from repro.sim.monte_carlo import estimate_link_ber
@@ -132,16 +127,6 @@ class TestFastPrimitives:
         bits = rng.integers(0, 2, size=96).astype(np.int8)
         assert np.array_equal(crc32_tail_bits_fast(bits), append_crc32(bits)[-32:])
 
-    def test_check_crc_agrees_with_reference(self, rng):
-        bits = rng.integers(0, 2, size=64).astype(np.int8)
-        protected = append_crc32(bits)
-        assert check_crc32_fast(protected) is True
-        assert check_crc32_fast(protected) == check_crc32(protected)
-        corrupted = protected.copy()
-        corrupted[5] ^= 1
-        assert check_crc32_fast(corrupted) is False
-        assert check_crc32_fast(corrupted) == check_crc32(corrupted)
-
     @pytest.mark.parametrize("name", available_schemes())
     def test_symbol_mapping_matches_reference(self, name, rng):
         constellation = get_scheme(name).constellation
@@ -150,7 +135,6 @@ class TestFastPrimitives:
         assert np.array_equal(
             fast_symbol_indices(name, bits), constellation.symbol_indices(bits)
         )
-        assert np.array_equal(fast_modulate(name, bits), constellation.modulate(bits))
 
     def test_symbol_mapping_broadcasts_over_frames(self, rng):
         bits = rng.integers(0, 2, size=(3, 40)).astype(np.int8)
@@ -164,7 +148,7 @@ class TestFastPrimitives:
             fast_symbol_indices("QPSK", np.zeros(7, dtype=np.int8))
 
 
-# -- batched frame chain: bit-exact vs simulate_link -------------------------
+# -- fused frame chain: per-frame parity with simulate_link ------------------
 
 
 def _batch_configs() -> dict[str, LinkConfig]:
@@ -195,58 +179,6 @@ def _batch_configs() -> dict[str, LinkConfig]:
             blockage_events=(BlockageEvent(0.2e-4, 0.6e-4, 12.0),),
         ),
     }
-
-
-def _assert_links_identical(reference, batched, label: str) -> None:
-    scalar_fields = [
-        "num_payload_bits", "bit_errors", "ber", "frame_success",
-        "snr_analytic_db", "snr_measured_db", "evm",
-    ]
-    for fld in scalar_fields:
-        assert getattr(reference, fld) == getattr(batched, fld), f"{label}: {fld}"
-    ref_rx, got_rx = reference.receiver, batched.receiver
-    for fld in [
-        "detected", "header_ok", "payload_crc_ok", "start_sample",
-        "snr_estimate_db", "evm",
-    ]:
-        assert getattr(ref_rx, fld) == getattr(got_rx, fld), f"{label}: rx.{fld}"
-    assert (ref_rx.payload_bits is None) == (got_rx.payload_bits is None), label
-    if ref_rx.payload_bits is not None:
-        assert np.array_equal(ref_rx.payload_bits, got_rx.payload_bits), label
-    assert (ref_rx.payload_symbols is None) == (got_rx.payload_symbols is None), label
-    if ref_rx.payload_symbols is not None:
-        # bit-exact, not allclose: the kernels reproduce the reference's
-        # floating-point operation order sample for sample
-        assert np.array_equal(
-            np.asarray(ref_rx.payload_symbols), np.asarray(got_rx.payload_symbols)
-        ), label
-
-
-class TestBatchLinkBitExactness:
-    @pytest.mark.parametrize("name", sorted(_batch_configs()))
-    def test_matches_consecutive_simulate_link_calls(self, name):
-        config = _batch_configs()[name]
-        num_frames = 3
-        rng_ref = np.random.default_rng(0)
-        reference = [simulate_link(config, rng=rng_ref) for _ in range(num_frames)]
-        batched = simulate_link_batch(
-            config, num_frames, rng=np.random.default_rng(0)
-        )
-        for f in range(num_frames):
-            _assert_links_identical(reference[f], batched[f], f"{name}[{f}]")
-
-    def test_rician_batches_without_fallback(self):
-        """The old per-frame serial fallback for fading configs is gone."""
-        simulator = BatchLinkSimulator(LinkConfig(rician_k_db=10.0))
-        assert not hasattr(simulator, "supports_fast_path")
-        results = simulator.simulate(2, np.random.default_rng(0))
-        assert len(results) == 2
-
-    def test_rejects_bad_sizes(self):
-        with pytest.raises(ValueError, match="num_payload_bits"):
-            BatchLinkSimulator(LinkConfig(), num_payload_bits=0)
-        with pytest.raises(ValueError, match="num_frames"):
-            simulate_link_batch(LinkConfig(), num_frames=0)
 
 
 # -- stochastic-channel kernels: randomized property tests --------------------
@@ -336,6 +268,10 @@ class TestPerFrameParity:
         assert errors.tolist() == [r.bit_errors for r in reference]
         assert detected.tolist() == [r.detected for r in reference]
 
+    def test_rejects_bad_payload_size(self):
+        with pytest.raises(ValueError, match="num_payload_bits"):
+            BatchLinkSimulator(LinkConfig(), num_payload_bits=0)
+
 
 class TestMultipathKernelEquivalence:
     """Cached-tap-grid apply and the rows kernel == per-Signal reference."""
@@ -389,58 +325,29 @@ class TestMultipathKernelEquivalence:
 
 
 class TestStochasticChannelProperties:
-    """Randomized Rician K / blockage plans: batch == serial, bit for bit."""
+    """Randomized Rician K / blockage plans: fused == serial, bit for bit."""
 
-    def test_batch_matches_serial_randomized_configs(self):
-        rng = np.random.default_rng(2024)
-        for trial in range(6):
-            config = _random_stochastic_config(rng)
-            num_frames = 3
-            rng_ref = np.random.default_rng(trial)
-            reference = [
-                simulate_link(config, rng=rng_ref) for _ in range(num_frames)
-            ]
-            batched = simulate_link_batch(
-                config, num_frames, rng=np.random.default_rng(trial)
-            )
-            for f in range(num_frames):
-                _assert_links_identical(
-                    reference[f], batched[f], f"trial{trial}[{f}]"
-                )
-
-    @pytest.mark.parametrize("chunk_frames", [1, 3, 5])
-    def test_estimator_bit_exact_across_chunk_sizes(self, chunk_frames):
+    def test_estimator_bit_exact_on_random_configs(self):
         rng = np.random.default_rng(7)
         for _ in range(3):
             config = _random_stochastic_config(rng)
             kwargs = dict(
-                target_errors=8,
-                max_bits=6144,
-                bits_per_frame=512,
-                seed=11,
-                chunk_frames=chunk_frames,
+                target_errors=8, max_bits=6144, bits_per_frame=512, seed=11
             )
             serial = estimate_link_ber(config, backend="serial", **kwargs)
-            vectorized = estimate_link_ber(config, backend="vectorized", **kwargs)
-            assert serial == vectorized, config
+            fused = estimate_link_ber(config, backend="fused", **kwargs)
+            assert serial == fused, config
 
 
 class TestEstimatorBackendEquivalence:
-    @pytest.mark.parametrize("chunk_frames", [1, 4, 7])
-    def test_vectorized_backend_byte_identical(self, chunk_frames):
+    def test_fused_backend_byte_identical(self):
         config = LinkConfig(
             distance_m=12.5, environment=Environment.typical_office()
         )
-        kwargs = dict(
-            target_errors=5,
-            max_bits=8192,
-            bits_per_frame=1024,
-            seed=3,
-            chunk_frames=chunk_frames,
-        )
+        kwargs = dict(target_errors=5, max_bits=8192, bits_per_frame=1024, seed=3)
         serial = estimate_link_ber(config, backend="serial", **kwargs)
-        vectorized = estimate_link_ber(config, backend="vectorized", **kwargs)
-        assert serial == vectorized
+        fused = estimate_link_ber(config, backend="fused", **kwargs)
+        assert serial == fused
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="backend"):

@@ -500,11 +500,6 @@ class TestExecutorComposition:
         assert chaotic.retried >= 1
         assert _point_pickles(chaotic) == _point_pickles(baseline)
 
-    def test_adaptive_schedule_rejected_clearly(self):
-        executor = SweepExecutor("serial", schedule="adaptive")
-        with pytest.raises(ValueError, match="make_accumulator"):
-            executor.run(_VALUES, self._task(), seed=_SEED)
-
 
 class TestReportSchema:
     """Satellite: report round-trips must fail loudly on version skew."""

@@ -133,8 +133,3 @@ class TestExecutorComposition:
         assert chaotic.failed == 0
         assert chaotic.retried >= 1  # the plan actually injected something
         assert _point_pickles(chaotic) == _point_pickles(baseline)
-
-    def test_adaptive_schedule_rejected_clearly(self):
-        executor = SweepExecutor("serial", schedule="adaptive")
-        with pytest.raises(ValueError, match="make_accumulator"):
-            executor.run(_POPULATIONS, _task(), seed=_SEED)

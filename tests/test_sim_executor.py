@@ -2,9 +2,10 @@
 
 The engine's headline guarantee: for a fixed root seed, the ``process``
 backend, the ``serial`` reference backend, and cache-hit replay all
-return **byte-identical** results — across sweep shapes, chunk sizes,
-and worker counts.  These tests pin that contract, plus the stable
-cache-key machinery it leans on.
+return **byte-identical** results — across sweep shapes and worker
+counts.  These tests pin that contract, plus the stable cache-key
+machinery it leans on, the estimator's budget rules and the report's
+convergence counters.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.channel.blockage import BlockageEvent
 from repro.channel.environment import Environment
 from repro.core.link import LinkConfig
 from repro.core.tag import TagConfig
@@ -32,7 +34,7 @@ from repro.sim.executor import (
     SweepExecutor,
     run_sweep,
 )
-from repro.sim.monte_carlo import BerEstimate, estimate_link_ber
+from repro.sim.monte_carlo import BerEstimate, LinkBerAccumulator, estimate_link_ber
 from repro.sim.sweep import sweep_1d
 
 
@@ -130,52 +132,6 @@ class TestBackendEquivalence:
         assert [r.index for r in report.records] == sorted(
             r.index for r in report.records
         )
-
-
-class TestChunkInvariance:
-    @pytest.mark.parametrize("chunk_frames", [2, 3, 7])
-    def test_estimate_invariant_to_chunk_size(self, chunk_frames):
-        config = _noisy_config().with_distance(13.0)
-        reference = estimate_link_ber(
-            config, target_errors=8, max_bits=9_000, bits_per_frame=3_000, seed=5
-        )
-        chunked = estimate_link_ber(
-            config,
-            target_errors=8,
-            max_bits=9_000,
-            bits_per_frame=3_000,
-            seed=5,
-            chunk_frames=chunk_frames,
-        )
-        assert chunked == reference
-        assert pickle.dumps(chunked) == pickle.dumps(reference)
-
-    @pytest.mark.parametrize("chunk_frames", [1, 4])
-    def test_sweep_invariant_to_task_chunk_size(self, chunk_frames):
-        reference = SweepExecutor("serial").run(_VALUES, _task(), seed=11)
-        chunked = SweepExecutor("serial").run(
-            _VALUES, _task(chunk_frames=chunk_frames), seed=11
-        )
-        assert chunked.points == reference.points
-
-    def test_progress_hook_sees_monotone_counters(self):
-        seen = []
-        estimate_link_ber(
-            _noisy_config().with_distance(15.0),
-            target_errors=1_000,
-            max_bits=9_000,
-            bits_per_frame=3_000,
-            seed=5,
-            chunk_frames=2,
-            progress=lambda frames, bits, errors: seen.append((frames, bits, errors)),
-        )
-        assert seen, "progress hook never fired"
-        assert seen == sorted(seen)
-        assert seen[-1][1] <= 9_000
-
-    def test_rejects_bad_chunk_size(self):
-        with pytest.raises(ValueError):
-            estimate_link_ber(_noisy_config(), chunk_frames=0)
 
 
 class TestCacheReplay:
@@ -337,7 +293,6 @@ class TestExecutorSurface:
             ({"target_errors": 0}, "target_errors must be >= 1, got 0"),
             ({"bits_per_frame": 0}, "bits_per_frame must be >= 1, got 0"),
             ({"max_bits": 2_999}, "max_bits (2999) must cover one frame (3000 bits)"),
-            ({"chunk_frames": 0}, "chunk_frames must be >= 1, got 0"),
         ],
     )
     def test_rejects_bad_ber_budget_at_construction(self, overrides, message):
@@ -435,6 +390,10 @@ class TestFaultToleranceKnobs:
             ("REPRO_SWEEP_MAX_RETRIES", "-2"),
             ("REPRO_SWEEP_BACKOFF_BASE", "fast"),
             ("REPRO_SWEEP_BACKOFF_BASE", "0"),
+            ("REPRO_SWEEP_WORKERS", "many"),
+            ("REPRO_SWEEP_WORKERS", "0"),
+            ("REPRO_SWEEP_WORKERS", "-2"),
+            ("REPRO_SWEEP_BACKEND", "threads"),
         ],
     )
     def test_from_env_rejects_bad_knobs_naming_the_variable(self, name, value):
@@ -445,3 +404,89 @@ class TestFaultToleranceKnobs:
     def test_constructor_rejects_nonpositive_timeout(self, timeout_s):
         with pytest.raises(ValueError, match="timeout_s"):
             SweepExecutor("serial", timeout_s=timeout_s)
+
+
+# -- the estimator accumulator ------------------------------------------------
+
+
+def _fading_task(**overrides) -> BerSweepTask:
+    """A fading link whose near points run out of bit budget before
+    ``target_errors`` while the far points converge at once."""
+    kwargs = dict(
+        config=LinkConfig(
+            rician_k_db=6.0,
+            blockage_events=(BlockageEvent(0.2e-4, 0.6e-4, 10.0),),
+        ),
+        param="distance_m",
+        target_errors=20,
+        max_bits=30_000,
+        bits_per_frame=512,
+        link_backend="fused",
+    )
+    kwargs.update(overrides)
+    return BerSweepTask(**kwargs)
+
+
+class TestLinkBerAccumulator:
+    def test_advance_past_done_is_noop(self):
+        accumulator = LinkBerAccumulator(
+            _fading_task().config_for(2.0),
+            target_errors=1,
+            max_bits=512,
+            bits_per_frame=512,
+            backend="fused",
+        )
+        accumulator.advance()
+        assert accumulator.done
+        before = accumulator.estimate()
+        accumulator.advance()
+        assert accumulator.estimate() == before
+
+    def test_validation_matches_estimator(self):
+        config = LinkConfig()
+        with pytest.raises(ValueError, match="target_errors"):
+            LinkBerAccumulator(config, target_errors=0)
+        with pytest.raises(ValueError, match="max_bits"):
+            LinkBerAccumulator(config, max_bits=10, bits_per_frame=2048)
+        # A zero-bit frame never advances the bit budget (the serial
+        # loop would spin forever).
+        with pytest.raises(ValueError, match="bits_per_frame"):
+            LinkBerAccumulator(config, bits_per_frame=0)
+        with pytest.raises(ValueError, match="backend"):
+            LinkBerAccumulator(config, backend="gpu")
+
+
+# -- convergence surfacing ----------------------------------------------------
+
+
+class TestConvergenceReporting:
+    def _mixed_report(self):
+        # 2.0/3.0 m run out of bit budget before 20 errors; the far
+        # points converge almost immediately.
+        return SweepExecutor("serial").run(
+            [2.0, 3.0, 4.0, 4.4, 5.0], _fading_task(), seed=5
+        )
+
+    def test_report_counts_converged_vs_budget_capped(self):
+        report = self._mixed_report()
+        assert report.converged + report.unconverged == 5
+        assert report.unconverged >= 1
+        for point in report.points:
+            assert point.metric.is_converged in (True, False)
+
+    def test_summary_mentions_convergence(self):
+        text = self._mixed_report().summary()
+        assert "hit target_errors" in text
+        assert "hit the bit budget" in text
+
+    def test_failure_summary_mentions_unconverged_points(self):
+        text = self._mixed_report().failure_summary()
+        assert "unconverged" in text
+        assert "bit budget hit" in text
+
+    def test_scalar_metrics_do_not_count(self):
+        report = SweepExecutor("serial").run(
+            [1.0, 2.0], FunctionTask(lambda v: v * v)
+        )
+        assert report.converged == 0 and report.unconverged == 0
+        assert report.failure_summary() == ""
