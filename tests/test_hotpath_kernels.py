@@ -268,6 +268,15 @@ class TestPerFrameParity:
         assert errors.tolist() == [r.bit_errors for r in reference]
         assert detected.tolist() == [r.detected for r in reference]
 
+    def test_rician_batches_without_fallback(self):
+        """Fading configs run the array program; no per-frame serial fallback."""
+        simulator = BatchLinkSimulator(LinkConfig(rician_k_db=10.0))
+        assert not hasattr(simulator, "supports_fast_path")
+        errors, detected = simulator.simulate_point(
+            np.random.default_rng(0), errors_needed=10**9, max_frames=2
+        )
+        assert len(errors) == len(detected) == 2
+
     def test_rejects_bad_payload_size(self):
         with pytest.raises(ValueError, match="num_payload_bits"):
             BatchLinkSimulator(LinkConfig(), num_payload_bits=0)

@@ -428,6 +428,20 @@ def _fading_task(**overrides) -> BerSweepTask:
 
 
 class TestLinkBerAccumulator:
+    def test_drives_to_same_estimate_as_estimate_link_ber(self):
+        config = _fading_task().config_for(4.0)
+        kwargs = dict(
+            target_errors=15,
+            max_bits=16_000,
+            bits_per_frame=512,
+            backend="fused",
+            seed=9,
+        )
+        accumulator = LinkBerAccumulator(config, **kwargs)
+        while not accumulator.done:
+            accumulator.advance()
+        assert accumulator.estimate() == estimate_link_ber(config, **kwargs)
+
     def test_advance_past_done_is_noop(self):
         accumulator = LinkBerAccumulator(
             _fading_task().config_for(2.0),
@@ -483,6 +497,18 @@ class TestConvergenceReporting:
         text = self._mixed_report().failure_summary()
         assert "unconverged" in text
         assert "bit budget hit" in text
+
+    def test_serial_link_tier_reports_convergence_too(self):
+        fused = self._mixed_report()
+        serial = SweepExecutor("serial").run(
+            [2.0, 3.0, 4.0, 4.4, 5.0], _fading_task(link_backend="serial"), seed=5
+        )
+        assert serial.converged + serial.unconverged == 5
+        assert (serial.converged, serial.unconverged) == (
+            fused.converged,
+            fused.unconverged,
+        )
+        assert "hit target_errors" in serial.summary()
 
     def test_scalar_metrics_do_not_count(self):
         report = SweepExecutor("serial").run(
