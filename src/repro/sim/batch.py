@@ -53,7 +53,7 @@ from __future__ import annotations
 import math
 import zlib
 from collections import OrderedDict
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -239,6 +239,35 @@ _BUILD_STATE: OrderedDict[tuple[type, str, int], dict[str, object]] = OrderedDic
 _BUILD_STATE_MAX = 32
 _KEY_DISTANCE_M = 1.0
 
+#: The last pinned config hashed for a build key, and its digest.
+_LAST_PINNED: tuple[LinkConfig, str] | None = None
+
+
+def _pinned_digest(pinned: LinkConfig) -> str:
+    """``stable_hash(pinned)``, reused while every field is the very
+    object the last hashed pinned config held.
+
+    A config's subtree holds only frozen dataclasses, tuples and
+    scalars, so identical fields mean an identical canonical form.
+    Identity, not ``==``: equality would conflate ``0.0`` with ``-0.0``
+    and ``1`` with ``1.0``, which the hash keeps apart.  An equal but
+    distinct object costs one hash, as before.
+    """
+    global _LAST_PINNED
+    last = _LAST_PINNED
+    if (
+        last is not None
+        and type(last[0]) is type(pinned)
+        and all(
+            getattr(pinned, field.name) is getattr(last[0], field.name)
+            for field in fields(pinned)
+        )
+    ):
+        return last[1]
+    digest = stable_hash(pinned)
+    _LAST_PINNED = (pinned, digest)
+    return digest
+
 
 def _shared_build_state(
     cls: type, config: LinkConfig, num_payload_bits: int
@@ -251,7 +280,7 @@ def _shared_build_state(
     """
     pinned = replace(config, distance_m=_KEY_DISTANCE_M)
     try:
-        key = (cls, stable_hash(pinned), num_payload_bits)
+        key = (cls, _pinned_digest(pinned), num_payload_bits)
     except CacheKeyError:
         return _build_state(cls, pinned, num_payload_bits)
     state = _BUILD_STATE.get(key)

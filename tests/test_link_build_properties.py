@@ -26,6 +26,7 @@ same or a neighbouring config.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import replace
 
 import numpy as np
@@ -51,7 +52,9 @@ from repro.core.tag import Tag, TagConfig, square_subcarrier_wave
 from repro.dsp.filters import design_fir_lowpass
 from repro.rf.noise import PhaseNoiseModel, thermal_noise_power
 from repro.rf.quantize import ADC
+import repro.sim.batch as batch
 from repro.sim.batch import BatchLinkSimulator, fast_symbol_indices
+from repro.sim.executor import BerSweepTask
 from repro.sim.fastlink import FastLinkSimulator
 
 _CLASSES = (BatchLinkSimulator, FastLinkSimulator)
@@ -366,3 +369,49 @@ def test_unhashable_config_builds_its_own_state():
         first = _check(cls, config, 256)
         second = _check(cls, replace(config, distance_m=7.0), 256)
         assert first._payload_lut is not second._payload_lut
+
+
+# -- the build key ----------------------------------------------------------
+
+
+def test_distance_sweep_hashes_its_build_key_once(monkeypatch):
+    """Every point of a range sweep pins the same field objects, so the
+    build key's digest is computed at the first point only."""
+    hashed = []
+    real = batch.stable_hash
+
+    def counting(obj):
+        hashed.append(obj)
+        return real(obj)
+
+    monkeypatch.setattr(batch, "stable_hash", counting)
+    task = BerSweepTask(
+        LinkConfig(), bits_per_frame=256, max_bits=256, link_backend="fused"
+    )
+    for i, distance in enumerate(np.linspace(1.0, 12.0, 20)):
+        task.run(float(distance), np.random.SeedSequence(i))
+    assert len(hashed) <= 1
+
+
+def test_signed_zero_angles_get_their_own_build_entries(monkeypatch):
+    """``0.0 == -0.0``, but the hash keeps them apart, and so must the
+    build key: an equality-keyed digest memo would merge them."""
+    monkeypatch.setattr(batch, "_BUILD_STATE", OrderedDict())
+    base = LinkConfig(include_noise=False)
+    for cls in _CLASSES:
+        for angle in (0.0, -0.0):
+            _check(cls, replace(base, incidence_angle_deg=angle), 256)
+    assert len(batch._BUILD_STATE) == 2 * len(_CLASSES)
+
+
+def test_equal_rebuilt_config_reuses_its_entry(monkeypatch):
+    """An equal but distinct field object misses the identity check,
+    is hashed again and finds the entry already built."""
+    monkeypatch.setattr(batch, "_BUILD_STATE", OrderedDict())
+    config = LinkConfig(include_noise=False)
+    for cls in _CLASSES:
+        first = cls(config, 256)
+        entries = len(batch._BUILD_STATE)
+        second = cls(replace(config, tag=replace(config.tag)), 256)
+        assert len(batch._BUILD_STATE) == entries
+        assert second._payload_lut is first._payload_lut
