@@ -91,8 +91,8 @@ class ShootoutTask(SweepTask):
             self.config, seed=self.seed, strategy=self.strategy_for(value)
         )
 
-    def cache_parts(self, value: float) -> dict[str, Any]:
-        return {"task": self, "value": value}
+    def cache_parts(self) -> dict[str, Any]:
+        return {"task": self}
 
     def validate_metric(self, metric: object) -> None:
         _check_schema(metric, NETSIM_REPORT_SCHEMA, "NetSimReport")

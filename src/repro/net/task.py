@@ -107,10 +107,10 @@ class NetSimTask(SweepTask):
     def run(self, value: float, seed: np.random.SeedSequence) -> NetSimReport:
         return run_netsim(self.config_for(value), seed=seed)
 
-    def cache_parts(self, value: float) -> dict[str, Any]:
+    def cache_parts(self) -> dict[str, Any]:
         # The report is fully determined by (config-with-param, seed);
-        # the executor mixes the seed into the key itself.
-        return {"task": self, "value": value}
+        # the executor mixes the value and the seed into the key itself.
+        return {"task": self}
 
     def validate_metric(self, metric: object) -> None:
         _check_schema(metric, NETSIM_REPORT_SCHEMA, "NetSimReport")
@@ -169,8 +169,8 @@ class MultiAPTask(SweepTask):
             )
         return run_multi_ap(self.config_for(value), seed=seed)
 
-    def cache_parts(self, value: float) -> dict[str, Any]:
-        return {"task": replace(self, shards=0), "value": value}
+    def cache_parts(self) -> dict[str, Any]:
+        return {"task": replace(self, shards=0)}
 
     def validate_metric(self, metric: object) -> None:
         _check_schema(metric, MULTI_AP_REPORT_SCHEMA, "MultiAPReport")

@@ -4,9 +4,11 @@ Monte-Carlo sweeps recompute identical operating points on every
 benchmark run.  :class:`ResultCache` memoises them on disk, keyed by a
 **stable content hash** of everything that determines the answer:
 
-* the task description (a :class:`~repro.core.link.LinkConfig` or any
-  nested dataclass tree, canonicalised field by field),
-* the sweep value and root seed,
+* the digest of the sweep's point-independent key material (the task:
+  a :class:`~repro.core.link.LinkConfig` or any nested dataclass tree,
+  canonicalised field by field), which
+  :func:`repro.sim.executor.sweep_keys` computes once per run,
+* the point's root seed, index and sweep value,
 * the **code version** — a digest of every ``repro`` source file — so
   editing the simulator silently invalidates stale entries instead of
   replaying them.

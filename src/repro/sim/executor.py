@@ -13,9 +13,10 @@ single number:
   serial loop stays in the tree as the reference implementation, and
   ``tests/test_sim_executor.py`` enforces the equivalence.
 * A :class:`~repro.sim.cache.ResultCache` (optional) memoises points on
-  disk, keyed by a stable hash of the task + value + seed + code
-  version; cache-hit replay therefore returns the same objects the
-  serial path computes.
+  disk.  :func:`sweep_keys` hashes the task's point-independent key
+  material once per run and keys each point by that digest plus
+  ``(seed, index, value)`` and the code version; cache-hit replay
+  therefore returns the same objects the serial path computes.
 * Progress/timing hooks (:class:`PointRecord`, ``on_progress``) and a
   :class:`SweepReport` make runs observable — the CLI and CI artifact
   print :meth:`SweepReport.summary`.
@@ -92,6 +93,7 @@ __all__ = [
     "SweepReport",
     "SweepExecutor",
     "run_sweep",
+    "sweep_keys",
 ]
 
 logger = logging.getLogger(__name__)
@@ -112,8 +114,13 @@ class SweepTask:
         """Evaluate the metric at ``value`` with the point's own stream."""
         raise NotImplementedError
 
-    def cache_parts(self, value: float) -> dict[str, Any] | None:
-        """Key material for caching this point, or ``None`` if uncacheable."""
+    def cache_parts(self) -> dict[str, Any] | None:
+        """Key material shared by every point, or ``None`` if uncacheable.
+
+        It must cover every input that changes ``run``'s result except
+        the sweep value and the point's seed, which :func:`sweep_keys`
+        adds per point, and nothing that changes no result.
+        """
         return None
 
     def validate_metric(self, metric: object) -> None:
@@ -198,7 +205,7 @@ class BerSweepTask(SweepTask):
             backend=self.link_backend,
         )
 
-    def cache_parts(self, value: float) -> dict[str, Any]:
+    def cache_parts(self) -> dict[str, Any]:
         # Within the bit-exact tiers the backend is numerically
         # irrelevant (estimates are bit-identical), so normalise it out
         # of the key: a cache warmed by either exact backend serves
@@ -206,7 +213,7 @@ class BerSweepTask(SweepTask):
         # its backend name in the key so its results never masquerade
         # as (or are shadowed by) bit-exact ones.
         backend = "fast" if self.link_backend == "fast" else "serial"
-        return {"task": replace(self, link_backend=backend), "value": value}
+        return {"task": replace(self, link_backend=backend)}
 
 
 @dataclass(frozen=True)
@@ -227,14 +234,35 @@ class FunctionTask(SweepTask):
     def run(self, value: float, seed: np.random.SeedSequence) -> object:
         return self.fn(value)
 
-    def cache_parts(self, value: float) -> dict[str, Any] | None:
+    def cache_parts(self) -> dict[str, Any] | None:
         if self.cache_token is None:
             return None
         try:
             fn_ref = canonicalize(self.fn)
         except CacheKeyError:
             return None
-        return {"fn": fn_ref, "token": self.cache_token, "value": value}
+        return {"fn": fn_ref, "token": self.cache_token}
+
+
+def sweep_keys(
+    cache: ResultCache, task: SweepTask, values: Iterable[float], seed: int
+) -> list[str] | None:
+    """The cache key of every point of one sweep, in sweep order.
+
+    The task's key material is hashed once; each point's key adds only
+    ``(seed, index, value)`` to that digest, so a key costs the same
+    whatever the task's size.  Returns ``None`` when the task is
+    uncacheable, and raises :class:`~repro.sim.cache.CacheKeyError`
+    when its key material cannot be hashed.
+    """
+    parts = task.cache_parts()
+    if parts is None:
+        return None
+    digest = stable_hash(parts)
+    return [
+        cache.key_for(sweep=digest, seed=seed, index=i, value=float(value))
+        for i, value in enumerate(values)
+    ]
 
 
 # -- reports ------------------------------------------------------------------
@@ -722,26 +750,25 @@ class SweepExecutor:
 
         # cache lookup pass
         keys: list[str | None] = [None] * n
+        if self.cache is not None:
+            keys = sweep_keys(self.cache, task, vals, seed) or keys
         pending: list[int] = []
         for i, value in enumerate(vals):
             if records[i] is not None:
                 continue  # restored from checkpoint
-            if self.cache is not None:
-                parts = task.cache_parts(value)
-                if parts is not None:
-                    keys[i] = self.cache.key_for(seed=seed, index=i, **parts)
-                    found = self.cache.get(keys[i])
-                    if found is not MISS:
-                        task.validate_metric(found)
-                        hits += 1
-                        metrics[i] = found
-                        records[i] = PointRecord(
-                            index=i, value=value, seconds=0.0, cached=True
-                        )
-                        _checkpoint_record(records[i], found)
-                        self._emit(records[i])
-                        continue
-                    misses += 1
+            if keys[i] is not None:
+                found = self.cache.get(keys[i])  # type: ignore[union-attr]
+                if found is not MISS:
+                    task.validate_metric(found)
+                    hits += 1
+                    metrics[i] = found
+                    records[i] = PointRecord(
+                        index=i, value=value, seconds=0.0, cached=True
+                    )
+                    _checkpoint_record(records[i], found)
+                    self._emit(records[i])
+                    continue
+                misses += 1
             pending.append(i)
 
         # compute pass (retries, timeouts, isolation, degradation)

@@ -43,16 +43,14 @@ from repro.net.task import MultiAPTask, NetSimTask
 from repro.rf.noise import PhaseNoiseModel
 from repro.rf.quantize import ADC
 from repro.sim.cache import ResultCache
-from repro.sim.executor import BerSweepTask, FunctionTask, SweepExecutor
+from repro.sim.executor import BerSweepTask, FunctionTask, SweepExecutor, sweep_keys
 
 
 def _key(cache: ResultCache, task, seed: int, index: int, value: float):
     """The cache key of point ``index`` (at ``value``) of a sweep of
     ``task`` under root ``seed``, or ``None`` when it is uncacheable."""
-    parts = task.cache_parts(value)
-    if parts is None:
-        return None
-    return cache.key_for(seed=seed, index=index, **parts)
+    keys = sweep_keys(cache, task, [value] * (index + 1), seed)
+    return None if keys is None else keys[index]
 
 
 def _square(value: float) -> float:

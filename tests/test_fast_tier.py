@@ -213,8 +213,8 @@ class TestTierMechanics:
         from repro.sim.executor import BerSweepTask
 
         task = BerSweepTask(config=_config("QPSK", 13.0))
-        exact_parts = task.cache_parts(13.0)
-        fast_parts = replace(task, link_backend="fast").cache_parts(13.0)
+        exact_parts = task.cache_parts()
+        fast_parts = replace(task, link_backend="fast").cache_parts()
         assert exact_parts["task"].link_backend == "serial"
         assert fast_parts["task"].link_backend == "fast"
         assert exact_parts != fast_parts

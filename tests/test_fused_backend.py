@@ -108,14 +108,14 @@ class TestCacheKeyspace:
     def test_bit_exact_tiers_share_cache_entries(self):
         """serial and fused → one cache key."""
         keys = {
-            pickle.dumps(self._task(backend).cache_parts(13.0))
+            pickle.dumps(self._task(backend).cache_parts())
             for backend in BIT_EXACT_BACKENDS
         }
         assert len(keys) == 1
 
     def test_fast_tier_has_its_own_keyspace(self):
-        exact = pickle.dumps(self._task("serial").cache_parts(13.0))
-        fast = pickle.dumps(self._task("fast").cache_parts(13.0))
+        exact = pickle.dumps(self._task("serial").cache_parts())
+        fast = pickle.dumps(self._task("fast").cache_parts())
         assert exact != fast
 
     def test_cache_warmed_by_serial_serves_fused(self, tmp_path):

@@ -31,7 +31,7 @@ from repro.net import (
 )
 from repro.sim.cache import ResultCache
 from repro.sim.checkpoint import SweepCheckpoint
-from repro.sim.executor import SweepExecutor
+from repro.sim.executor import SweepExecutor, sweep_keys
 from repro.sim.faults import FaultPlan
 from repro.sim.retry import RetryPolicy
 
@@ -517,7 +517,7 @@ class TestReportSchema:
         forged = replace(
             task.run(value, np.random.SeedSequence(0)), schema_version=99
         )
-        key = cache.key_for(seed=_SEED, index=0, **task.cache_parts(value))
+        key = sweep_keys(cache, task, [value], _SEED)[0]
         cache.put(key, forged)
         executor = SweepExecutor("serial", cache=cache)
         with pytest.raises(ValueError, match="schema_version 99"):

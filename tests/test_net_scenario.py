@@ -411,7 +411,7 @@ class TestShootout:
 
     def test_task_is_cacheable_and_seed_keyed(self):
         task = ShootoutTask(config=self._CALM, seed=3)
-        parts = task.cache_parts(1.0)
+        parts = task.cache_parts()
         assert parts["task"] is task
         assert task.strategy_for(1) == task.strategies[1]
         with pytest.raises(ValueError, match="outside"):

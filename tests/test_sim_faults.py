@@ -26,6 +26,7 @@ from repro.sim.executor import (
     FunctionTask,
     PointTimeoutError,
     SweepExecutor,
+    sweep_keys,
 )
 from repro.sim.faults import (
     BlockageFrameOracle,
@@ -521,10 +522,7 @@ class TestCacheCorruption:
         task = FunctionTask(_square, cache_token="sq-v1")
         executor = SweepExecutor("serial", cache=cache)
         executor.run(_VALUES[:3], task, seed=0)
-        keys = [
-            cache.key_for(seed=0, index=i, **task.cache_parts(v))
-            for i, v in enumerate(_VALUES[:3])
-        ]
+        keys = sweep_keys(cache, task, _VALUES[:3], 0)
         return cache, task, keys
 
     def test_fault_plan_corrupts_chosen_entry(self, tmp_path, caplog):
