@@ -88,10 +88,6 @@ _IDLE, _COLLISION, _SINGLE_FAIL, _SINGLE_OK = 0, 1, 2, 3
 #: start (mobility, assoc, relay, blockage, mac) — see ``_build_metro``.
 _N_PROCESS_STREAMS = 5
 
-#: Shard-epoch checkpoints batch their fsyncs (satellite of the same
-#: PR): one durability point per ~64 shard records instead of per line.
-_CHECKPOINT_FSYNC_EVERY = 64
-
 
 def _fresh_seedseq(seed: int | np.random.SeedSequence) -> np.random.SeedSequence:
     """An unshared copy of ``seed`` with an untouched spawn counter.
@@ -547,9 +543,10 @@ def run_multi_ap_sharded(
     :class:`~repro.sim.executor.SweepExecutor` with one worker per
     shard; pass a serial-backend executor to run the whole pipeline in
     one process (still byte-identical — useful for tests and CI).
-    ``checkpoint_dir`` writes one batched-fsync checkpoint file per
-    epoch; with ``resume=True`` completed shard-epochs are restored
-    bit-exactly instead of recomputed.  ``faults`` (a
+    ``checkpoint_dir`` writes one checkpoint file per epoch, synced under
+    :mod:`repro.sim.checkpoint`'s durability contract; with
+    ``resume=True`` completed shard-epochs are restored bit-exactly
+    instead of recomputed.  ``faults`` (a
     :class:`~repro.sim.faults.FaultPlan`) is forwarded to every epoch's
     executor run — a killed shard worker degrades the pool and the
     retry stack recovers the identical result.
@@ -606,8 +603,7 @@ def run_multi_ap_sharded(
         checkpoint = None
         if checkpoint_dir is not None:
             checkpoint = SweepCheckpoint(
-                Path(checkpoint_dir) / f"shard_epoch_{e:04d}.jsonl",
-                fsync_every=_CHECKPOINT_FSYNC_EVERY,
+                Path(checkpoint_dir) / f"shard_epoch_{e:04d}.jsonl"
             )
         report = executor.run(
             range(len(payloads)),

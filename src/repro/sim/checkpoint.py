@@ -8,16 +8,20 @@ already-completed points **bit-exactly** — the resumed report's metrics
 pickle to the same bytes as an uninterrupted run's
 (``tests/test_sim_faults.py`` enforces it).
 
-Durability model:
+Durability contract:
 
-* one record = one line, written with a single ``write`` + ``flush`` +
-  ``fsync``, so a crash can tear at most the final line;
-* ``fsync_every=N`` batches the fsync (not the write): every line is
-  still written + flushed immediately, but only every N-th append pays
-  the disk sync.  A crash can then lose up to the last N-1 records —
-  they are simply recomputed on resume — while a torn tail remains at
-  most one line.  The default ``N=1`` preserves the original
-  every-line durability;
+* one record = one line, written and flushed as its point lands, so a
+  killed process loses no landed point and a crash can tear at most
+  the final line;
+* :meth:`SweepCheckpoint.start` fsyncs the header;
+* an ``fsync`` runs once the lines written since the last one carry at
+  least :data:`SYNC_AFTER_POINT_S` of point time (each append records
+  its point's ``seconds``), and :meth:`SweepCheckpoint.sync` runs one
+  when the run ends.  A power loss therefore costs at most about that
+  much recompute, plus the points in flight.  Cache hits and failed
+  points carry 0 s, so they never force a sync on their own;
+* a lost point is recomputed on resume, bit-exactly, from its own
+  ``(seed, index)`` child seed;
 * the loader tolerates (and counts) torn or corrupt trailing lines —
   every metric payload carries a sha256 that must match;
 * a header line pins ``(seed, task fingerprint, schema)``; resuming
@@ -37,14 +41,23 @@ import os
 import pickle
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, TextIO
 
-__all__ = ["CheckpointError", "CheckpointEntry", "SweepCheckpoint"]
+__all__ = [
+    "SYNC_AFTER_POINT_S",
+    "CheckpointError",
+    "CheckpointEntry",
+    "SweepCheckpoint",
+]
 
 logger = logging.getLogger(__name__)
 
 #: Bump when the line layout changes (old checkpoints refuse to load).
 CHECKPOINT_SCHEMA_VERSION = 1
+
+#: Point time the unsynced lines may carry before an append fsyncs:
+#: the recompute a power loss may cost.
+SYNC_AFTER_POINT_S = 1.0
 
 
 class CheckpointError(RuntimeError):
@@ -81,26 +94,21 @@ def _decode_metric(payload: str, sha256: str) -> Any:
 class SweepCheckpoint:
     """Append-only JSONL record of a sweep's completed points.
 
+    Appends go through one handle, opened at the first append after
+    :meth:`start` and closed by :meth:`sync` at the end of the run.
+
     Parameters
     ----------
     path:
         Checkpoint file (parent directories created on demand).
-    fsync_every:
-        Pay the per-append ``fsync`` only every N-th record.  Appends
-        are still written + flushed line-atomically every time, so the
-        torn-tail guarantee is unchanged; a crash merely loses up to
-        the last N-1 *durable* records, which a resume recomputes.
-        Sharded metro runs write thousands of shard-epoch records per
-        campaign, where per-line fsync dominates checkpoint cost.
     """
 
-    def __init__(self, path: str | os.PathLike, *, fsync_every: int = 1):
-        if fsync_every < 1:
-            raise ValueError(f"fsync_every must be >= 1, got {fsync_every}")
+    def __init__(self, path: str | os.PathLike):
         self.path = Path(path)
-        self.fsync_every = int(fsync_every)
         self.skipped_lines = 0  # torn/corrupt lines tolerated at load
-        self._appends_since_sync = 0
+        self._handle: TextIO | None = None
+        self._unsynced_lines = 0
+        self._unsynced_s = 0.0  # point time the unsynced lines carry
 
     # -- writing --------------------------------------------------------------
 
@@ -118,7 +126,6 @@ class SweepCheckpoint:
             handle.write(json.dumps(header, sort_keys=True) + "\n")
             handle.flush()
             os.fsync(handle.fileno())
-        self._appends_since_sync = 0
 
     def append(
         self,
@@ -130,7 +137,8 @@ class SweepCheckpoint:
         seconds: float,
         metric: Any,
     ) -> None:
-        """Append one completed point (write + flush; fsync batched)."""
+        """Append one completed point: write and flush the line, and
+        fsync once the unsynced lines carry :data:`SYNC_AFTER_POINT_S`."""
         payload, digest = _encode_metric(metric)
         line = json.dumps(
             {
@@ -145,21 +153,28 @@ class SweepCheckpoint:
             },
             sort_keys=True,
         )
-        with self.path.open("a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
-            handle.flush()
-            self._appends_since_sync += 1
-            if self._appends_since_sync >= self.fsync_every:
-                os.fsync(handle.fileno())
-                self._appends_since_sync = 0
+        if self._handle is None:
+            self._handle = self.path.open("a", encoding="utf-8")
+        self._handle.write(line + "\n")
+        self._handle.flush()
+        self._unsynced_lines += 1
+        self._unsynced_s += seconds
+        if self._unsynced_s >= SYNC_AFTER_POINT_S:
+            os.fsync(self._handle.fileno())
+            self._unsynced_lines = 0
+            self._unsynced_s = 0.0
 
     def sync(self) -> None:
-        """Force any batched (written-but-not-fsynced) appends to disk."""
-        if self._appends_since_sync == 0 or not self.path.exists():
+        """End the run's appends: fsync any unsynced lines and close the
+        append handle.  A no-op when nothing was appended."""
+        handle, self._handle = self._handle, None
+        if handle is None:
             return
-        with self.path.open("a", encoding="utf-8") as handle:
-            os.fsync(handle.fileno())
-        self._appends_since_sync = 0
+        with handle:
+            if self._unsynced_lines:
+                os.fsync(handle.fileno())
+        self._unsynced_lines = 0
+        self._unsynced_s = 0.0
 
     # -- reading --------------------------------------------------------------
 

@@ -694,10 +694,29 @@ class SweepExecutor:
         bit-exactly instead of recomputing.  A raising point is
         isolated into a ``status="failed"`` record (with its traceback)
         after exhausting the retry budget; ``KeyboardInterrupt`` always
-        propagates, leaving the checkpoint loadable.
+        propagates, leaving the checkpoint loadable.  Every exit path,
+        that one included, ends with :meth:`SweepCheckpoint.sync`.
         """
         if resume and checkpoint is None:
             raise ValueError("resume=True requires a checkpoint")
+        if checkpoint is not None and not isinstance(checkpoint, SweepCheckpoint):
+            checkpoint = SweepCheckpoint(Path(checkpoint))
+        try:
+            return self._run(values, task, seed, on_point, faults, checkpoint, resume)
+        finally:
+            if checkpoint is not None:
+                checkpoint.sync()
+
+    def _run(
+        self,
+        values: Iterable[float],
+        task: SweepTask,
+        seed: int,
+        on_point: Callable[[SweepPoint], None] | None,
+        faults: Any,
+        checkpoint: SweepCheckpoint | None,
+        resume: bool,
+    ) -> SweepReport:
         start = time.perf_counter()
         vals = [float(v) for v in values]
         n = len(vals)
@@ -710,8 +729,6 @@ class SweepExecutor:
         resumed_count = 0
 
         # checkpoint setup / resume pass
-        if checkpoint is not None and not isinstance(checkpoint, SweepCheckpoint):
-            checkpoint = SweepCheckpoint(Path(checkpoint))
         fingerprint = (
             _task_fingerprint(task, vals) if checkpoint is not None else ""
         )
@@ -915,9 +932,6 @@ class SweepExecutor:
                     "s" if len(unfinished) != 1 else "",
                 )
                 _run_serially(unfinished)
-
-        if checkpoint is not None:
-            checkpoint.sync()  # flush any batched (fsync_every > 1) appends
 
         failed = sum(1 for r in records if r is not None and not r.ok)
         # recovered counts attempt-level failures that healed — a

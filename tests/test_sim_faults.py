@@ -19,8 +19,9 @@ import pytest
 from repro.channel.environment import Environment
 from repro.core.link import LinkConfig
 from repro.core.tag import TagConfig
+import repro.sim.checkpoint as checkpoint_module
 from repro.sim.cache import MISS, ResultCache
-from repro.sim.checkpoint import CheckpointError, SweepCheckpoint
+from repro.sim.checkpoint import SYNC_AFTER_POINT_S, CheckpointError, SweepCheckpoint
 from repro.sim.executor import (
     BerSweepTask,
     FunctionTask,
@@ -415,25 +416,36 @@ class TestCheckpointResume:
         assert [entries[i].metric for i in range(3)] == report.metrics
 
 
+@pytest.fixture
+def fsyncs(monkeypatch):
+    """Every fd the checkpoint module fsyncs (the syncs still run)."""
+    calls = []
+    real = checkpoint_module.os.fsync
+
+    def counting(fd):
+        calls.append(fd)
+        real(fd)
+
+    monkeypatch.setattr(checkpoint_module.os, "fsync", counting)
+    return calls
+
+
 class TestBatchedFsync:
-    """``fsync_every=N`` batches the *sync*, never the write: every
-    line still lands via write+flush, so resume and torn-tail behaviour
-    are unchanged — only the durability-against-power-loss window
-    widens to N-1 records."""
+    """The checkpoint's durability contract: every line is written and
+    flushed as its point lands, so resume and torn-tail behaviour never
+    depend on a sync; the header is fsynced, the lines are fsynced once
+    they carry ``SYNC_AFTER_POINT_S`` of point time, and a run ends
+    with one fsync of whatever is still unsynced."""
 
-    def test_rejects_nonpositive_fsync_every(self, tmp_path):
-        with pytest.raises(ValueError, match="fsync_every"):
-            SweepCheckpoint(tmp_path / "cp.jsonl", fsync_every=0)
-
-    def test_batched_checkpoint_resumes_bit_identically(self, tmp_path):
+    def test_batched_checkpoint_resumes_bit_identically(self, tmp_path, fsyncs):
         task = _ber_task()
         uninterrupted = SweepExecutor("serial").run(_VALUES, task, seed=3)
 
-        checkpoint = SweepCheckpoint(tmp_path / "cp.jsonl", fsync_every=16)
+        checkpoint = SweepCheckpoint(tmp_path / "cp.jsonl")
         seen = []
 
         def killer(record):
-            seen.append(record)
+            seen.append(len(fsyncs))
             if len(seen) == 2:
                 raise KeyboardInterrupt
 
@@ -441,14 +453,15 @@ class TestBatchedFsync:
             SweepExecutor("serial", on_progress=killer).run(
                 _VALUES, task, seed=3, checkpoint=checkpoint
             )
-        # both records survive despite no fsync having fired yet
+        # both lines had landed with no fsync but the header's
+        assert seen == [1, 1]
         assert len(SweepCheckpoint(checkpoint.path).load(seed=3)) == 2
 
         resumed = SweepExecutor("serial").run(
             _VALUES,
             task,
             seed=3,
-            checkpoint=SweepCheckpoint(checkpoint.path, fsync_every=16),
+            checkpoint=SweepCheckpoint(checkpoint.path),
             resume=True,
         )
         assert resumed.resumed == 2
@@ -457,7 +470,7 @@ class TestBatchedFsync:
         )
 
     def test_torn_tail_stays_one_line_with_batching(self, tmp_path):
-        checkpoint = SweepCheckpoint(tmp_path / "cp.jsonl", fsync_every=8)
+        checkpoint = SweepCheckpoint(tmp_path / "cp.jsonl")
         SweepExecutor("serial").run(
             [1.0, 2.0, 3.0], FunctionTask(_square), seed=0, checkpoint=checkpoint
         )
@@ -467,18 +480,91 @@ class TestBatchedFsync:
         assert sorted(loader.load(seed=0)) == [0, 1, 2]
         assert loader.skipped_lines == 1
 
-    def test_completed_run_is_synced(self, tmp_path):
-        # the executor flushes the batch when the campaign completes,
-        # so a finished checkpoint owes the disk nothing
-        checkpoint = SweepCheckpoint(tmp_path / "cp.jsonl", fsync_every=64)
+    def test_subsecond_points_sync_only_header_and_end(self, tmp_path, fsyncs):
+        values = [float(v) for v in range(150)]
+        report = SweepExecutor("serial").run(
+            values, FunctionTask(_square), seed=0, checkpoint=tmp_path / "cp.jsonl"
+        )
+        assert report.compute_seconds < SYNC_AFTER_POINT_S
+        assert len(fsyncs) == 2
+        assert len(SweepCheckpoint(tmp_path / "cp.jsonl").load(seed=0)) == 150
+
+    def test_cached_sweep_op_issues_four_fsyncs(self, tmp_path, fsyncs):
+        """Two checkpointed 150-point runs, cold then warm on one cache:
+        the warm pass's cache hits carry 0 s and force no sync."""
+        cache = ResultCache(tmp_path / "cache", version="v")
+        task = FunctionTask(_square, cache_token="sq-v1")
+        values = [float(v) for v in range(150)]
+        executor = SweepExecutor("serial", cache=cache)
+        cold = executor.run(values, task, seed=0, checkpoint=tmp_path / "cp.jsonl")
+        assert cold.cache_misses == 150 and len(fsyncs) == 2
+        warm = executor.run(values, task, seed=0, checkpoint=tmp_path / "cp.jsonl")
+        assert warm.cache_hits == 150
+        assert len(fsyncs) == 4
+        assert len(SweepCheckpoint(tmp_path / "cp.jsonl").load(seed=0)) == 150
+
+    def test_point_time_paces_the_syncs(self, tmp_path, fsyncs):
+        checkpoint = SweepCheckpoint(tmp_path / "cp.jsonl")
+        checkpoint.start(seed=0, fingerprint="f", n_points=7)
+        for i, seconds in enumerate([1.0, 2.5, 1.0]):
+            checkpoint.append(
+                index=i, value=float(i), status="ok", attempts=1,
+                seconds=seconds, metric=i,
+            )
+            assert len(fsyncs) == 2 + i  # every line of >= 1 s syncs
+        for i in range(3, 7):
+            checkpoint.append(
+                index=i, value=float(i), status="ok", attempts=1,
+                seconds=0.5, metric=i,
+            )
+        assert len(fsyncs) == 6  # two 0.5 s lines make one sync
+        checkpoint.sync()
+        assert len(fsyncs) == 6  # nothing left unsynced
+        assert sorted(checkpoint.load(seed=0)) == list(range(7))
+
+    def test_completed_run_is_synced(self, tmp_path, fsyncs):
+        # the run ends with a sync, so a finished checkpoint owes the
+        # disk nothing and holds no open handle
+        checkpoint = SweepCheckpoint(tmp_path / "cp.jsonl")
         SweepExecutor("serial").run(
             [1.0, 2.0, 3.0], FunctionTask(_square), seed=0, checkpoint=checkpoint
         )
-        assert checkpoint._appends_since_sync == 0
+        synced = len(fsyncs)
+        checkpoint.sync()
+        assert len(fsyncs) == synced
+        assert checkpoint._handle is None
+
+    def test_interrupt_closes_the_append_handle(self, tmp_path, fsyncs):
+        checkpoint = SweepCheckpoint(tmp_path / "cp.jsonl")
+
+        def killer(record):
+            if record.index == 1:
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            SweepExecutor("serial", on_progress=killer).run(
+                [1.0, 2.0, 3.0], FunctionTask(_square), checkpoint=checkpoint
+            )
+        assert checkpoint._handle is None
+        assert len(fsyncs) == 2  # the header, and the lines at the interrupt
+
+    def test_degraded_run_closes_the_append_handle(self, tmp_path, fsyncs):
+        checkpoint = SweepCheckpoint(tmp_path / "cp.jsonl")
+        plan = FaultPlan(specs=(FaultSpec("kill", 0, attempts=1),))
+        report = SweepExecutor("process", max_workers=2).run(
+            [1.0, 2.0, 3.0, 4.0],
+            FunctionTask(_square),
+            faults=plan,
+            checkpoint=checkpoint,
+        )
+        assert report.degraded
+        assert checkpoint._handle is None
+        assert len(fsyncs) == 2
+        assert sorted(checkpoint.load(seed=0)) == [0, 1, 2, 3]
 
     def test_sync_is_safe_with_nothing_pending(self, tmp_path):
-        checkpoint = SweepCheckpoint(tmp_path / "absent.jsonl", fsync_every=4)
-        checkpoint.sync()  # no file, no batched appends: a no-op
+        checkpoint = SweepCheckpoint(tmp_path / "absent.jsonl")
+        checkpoint.sync()  # no file, no appends: a no-op
         assert not checkpoint.exists()
 
 
