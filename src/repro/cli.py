@@ -61,6 +61,7 @@ from repro.net.scenario.backoff import (
 from repro.net.scenario.mobile import TRAJECTORIES, MobileReaderConfig
 from repro.net.scenario.mobile import run_mobile_reader
 from repro.sim.cache import ResultCache
+from repro.sim.checkpoint import CheckpointError
 from repro.sim.executor import BerSweepTask, FunctionTask, SweepExecutor
 from repro.sim.monte_carlo import LINK_BER_BACKENDS
 from repro.sim.retry import RetryPolicy
@@ -486,10 +487,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             bits_per_frame=2048,
             link_backend=args.link_backend or "serial",
         )
-    report = executor.run(
-        distances, task, seed=args.seed,
-        checkpoint=args.checkpoint, resume=args.resume,
-    )
+    try:
+        report = executor.run(
+            distances, task, seed=args.seed,
+            checkpoint=args.checkpoint, resume=args.resume,
+        )
+    except CheckpointError as exc:  # resumed against the wrong file
+        print(exc, file=sys.stderr)
+        return 2
     table = ResultTable(
         f"{args.metric} vs distance ({args.modulation})",
         ["distance_m", args.metric],

@@ -465,6 +465,24 @@ class TestSweepFaultToleranceFlags:
         second_rows = [l for l in second.splitlines() if l and l[0].isdigit()]
         assert first_rows == second_rows
 
+    def test_resume_of_another_sweeps_checkpoint_exit_two(self, tmp_path, capsys):
+        ckpt = tmp_path / "sweep.jsonl"
+        assert main(self._ARGV + ["--checkpoint", str(ckpt)]) == 0
+        capsys.readouterr()
+        other = ["--points", "4", "--checkpoint", str(ckpt), "--resume"]
+        assert main(self._ARGV + other) == 2
+        err = capsys.readouterr().err
+        assert "belongs to a different sweep" in err
+        assert "Traceback" not in err
+
+    def test_resume_of_an_empty_checkpoint_exit_two(self, tmp_path, capsys):
+        ckpt = tmp_path / "sweep.jsonl"
+        ckpt.write_text("")
+        assert main(self._ARGV + ["--checkpoint", str(ckpt), "--resume"]) == 2
+        err = capsys.readouterr().err
+        assert "has no header line" in err
+        assert "Traceback" not in err
+
 
 class TestCacheVerifyCommand:
     def test_verify_clean_cache_exit_zero(self, tmp_path, capsys):
