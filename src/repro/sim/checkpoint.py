@@ -94,8 +94,8 @@ def _decode_metric(payload: str, sha256: str) -> Any:
 class SweepCheckpoint:
     """Append-only JSONL record of a sweep's completed points.
 
-    Appends go through one handle, opened at the first append after
-    :meth:`start` and closed by :meth:`sync` at the end of the run.
+    Appends go through one handle, opened at the first append and
+    closed by :meth:`sync` at the end of the run.
 
     Parameters
     ----------
