@@ -119,7 +119,8 @@ class SweepTask:
 
         It must cover every input that changes ``run``'s result except
         the sweep value and the point's seed, which :func:`sweep_keys`
-        adds per point, and nothing that changes no result.
+        adds per point, and nothing that changes no result.  The same
+        material identifies the sweep in checkpoint headers.
         """
         return None
 
@@ -502,12 +503,18 @@ def _format_exception(exc: BaseException) -> str:
 def _task_fingerprint(task: SweepTask, values: list[float]) -> str:
     """Stable identity of (task, values) for checkpoint headers.
 
-    Tasks that cannot be canonicalised (closures, lambdas) fall back to
-    their type name — weaker, but still catches the common
-    resumed-the-wrong-sweep mistakes.
+    A cacheable task is identified by its :meth:`SweepTask.cache_parts`,
+    so execution choices that give byte-identical results (``serial``
+    or ``fused`` link tiers, a ``MultiAPTask``'s shard count) resume
+    each other's checkpoints, just as they share cache entries.  Other
+    tasks are hashed whole; those that cannot be canonicalised
+    (closures, lambdas) fall back to their type name — weaker, but
+    still catches the common resumed-the-wrong-sweep mistakes.
     """
+    parts = task.cache_parts()
+    identity = {"task": task} if parts is None else parts
     try:
-        return stable_hash({"task": task, "values": values})
+        return stable_hash({**identity, "values": values})
     except CacheKeyError:
         return stable_hash(
             {"task_type": type(task).__qualname__, "values": values}

@@ -475,6 +475,19 @@ class TestSweepFaultToleranceFlags:
         assert "belongs to a different sweep" in err
         assert "Traceback" not in err
 
+    def test_resume_across_exact_link_tiers(self, tmp_path, capsys):
+        """serial and fused points are byte-identical, so either tier
+        resumes the other's checkpoint; the statistical fast tier
+        cannot."""
+        ckpt = tmp_path / "sweep.jsonl"
+        argv = self._ARGV + ["--checkpoint", str(ckpt)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv + ["--link-backend", "fused", "--resume"]) == 0
+        assert "3 resumed" in capsys.readouterr().out
+        assert main(argv + ["--link-backend", "fast", "--resume"]) == 2
+        assert "belongs to a different sweep" in capsys.readouterr().err
+
     def test_resume_of_an_empty_checkpoint_exit_two(self, tmp_path, capsys):
         ckpt = tmp_path / "sweep.jsonl"
         ckpt.write_text("")

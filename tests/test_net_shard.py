@@ -297,6 +297,26 @@ class TestMultiAPTaskSharding:
         )
         assert warm.cache_hits == len(values)
 
+    def test_checkpoint_resumes_across_engines(self, tmp_path):
+        # the engines are byte-identical, so a checkpoint written by
+        # the serial engine resumes under the sharded one
+        config = _config(num_slots=250)
+        values = [10.0, 25.0]
+        path = tmp_path / "sweep.ckpt"
+        serial = _serial().run(
+            values, MultiAPTask(config=config), seed=_SEED, checkpoint=path
+        )
+        resumed = _serial().run(
+            values,
+            MultiAPTask(config=config, shards=2),
+            seed=_SEED,
+            checkpoint=path,
+            resume=True,
+        )
+        assert resumed.resumed == len(values)
+        for a, b in zip(serial.points, resumed.points):
+            assert pickle.dumps(a.metric) == pickle.dumps(b.metric)
+
     def test_rejects_negative_shards(self):
         with pytest.raises(ValueError, match="shards"):
             MultiAPTask(config=_config(), shards=-1)

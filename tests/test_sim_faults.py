@@ -20,13 +20,14 @@ from repro.channel.environment import Environment
 from repro.core.link import LinkConfig
 from repro.core.tag import TagConfig
 import repro.sim.checkpoint as checkpoint_module
-from repro.sim.cache import MISS, ResultCache
+from repro.sim.cache import MISS, ResultCache, stable_hash
 from repro.sim.checkpoint import SYNC_AFTER_POINT_S, CheckpointError, SweepCheckpoint
 from repro.sim.executor import (
     BerSweepTask,
     FunctionTask,
     PointTimeoutError,
     SweepExecutor,
+    _task_fingerprint,
     sweep_keys,
 )
 from repro.sim.faults import (
@@ -360,6 +361,16 @@ class TestCheckpointResume:
                 checkpoint=path,
                 resume=True,
             )
+
+    def test_serial_ber_fingerprint_is_unchanged(self):
+        # the digest checkpoints have always carried for a serial task:
+        # checkpoints written before fingerprints moved to cache_parts()
+        # still resume
+        task = _ber_task()
+        vals = [float(v) for v in _VALUES]
+        assert _task_fingerprint(task, vals) == stable_hash(
+            {"task": task, "values": vals}
+        )
 
     def test_failed_points_are_recomputed_on_resume(self, tmp_path):
         path = tmp_path / "cp.jsonl"
