@@ -47,7 +47,6 @@ from repro.sim.executor import (
     SweepExecutor,
     SweepReport,
     SweepTask,
-    run_sweep,
 )
 
 __all__ = [
@@ -84,5 +83,4 @@ __all__ = [
     "SweepExecutor",
     "SweepReport",
     "SweepTask",
-    "run_sweep",
 ]

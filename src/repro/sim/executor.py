@@ -49,8 +49,7 @@ seeded chaos harness in :mod:`repro.sim.faults`):
 Tasks are small frozen dataclasses so the process backend can pickle
 them and the cache can canonicalise them.  :class:`BerSweepTask` is the
 workhorse (full waveform-chain BER across any ``LinkConfig`` field);
-:class:`FunctionTask` adapts arbitrary ``metric_fn(value)`` callables —
-including every legacy ``sweep_1d`` call site.
+:class:`FunctionTask` adapts arbitrary ``metric_fn(value)`` callables.
 """
 
 from __future__ import annotations
@@ -92,7 +91,6 @@ __all__ = [
     "PointTimeoutError",
     "SweepReport",
     "SweepExecutor",
-    "run_sweep",
     "sweep_keys",
 ]
 
@@ -681,7 +679,6 @@ class SweepExecutor:
         task: SweepTask,
         *,
         seed: int = 0,
-        on_point: Callable[[SweepPoint], None] | None = None,
         faults: Any = None,
         checkpoint: SweepCheckpoint | str | os.PathLike | None = None,
         resume: bool = False,
@@ -709,7 +706,7 @@ class SweepExecutor:
         if checkpoint is not None and not isinstance(checkpoint, SweepCheckpoint):
             checkpoint = SweepCheckpoint(Path(checkpoint))
         try:
-            return self._run(values, task, seed, on_point, faults, checkpoint, resume)
+            return self._run(values, task, seed, faults, checkpoint, resume)
         finally:
             if checkpoint is not None:
                 checkpoint.sync()
@@ -719,7 +716,6 @@ class SweepExecutor:
         values: Iterable[float],
         task: SweepTask,
         seed: int,
-        on_point: Callable[[SweepPoint], None] | None,
         faults: Any,
         checkpoint: SweepCheckpoint | None,
         resume: bool,
@@ -951,14 +947,10 @@ class SweepExecutor:
             if records[i] is not None and records[i].ok and state.failures > 0
         )
 
-        points = [SweepPoint(value=v, metric=m) for v, m in zip(vals, metrics)]
-        if on_point is not None:
-            for point in points:
-                on_point(point)
         return SweepReport(
             backend=self.backend,
             workers=self._workers_for(len(pending)),
-            points=points,
+            points=[SweepPoint(value=v, metric=m) for v, m in zip(vals, metrics)],
             records=[r for r in records if r is not None],
             elapsed_s=time.perf_counter() - start,
             cache_hits=hits,
@@ -989,32 +981,3 @@ def _env_float(name: str, raw: str) -> float | None:
         return float(raw)
     except ValueError as exc:
         raise ValueError(f"{name} must be a number, got {raw!r}") from exc
-
-
-def run_sweep(
-    values: Iterable[float],
-    task: SweepTask,
-    *,
-    backend: str = "serial",
-    seed: int = 0,
-    max_workers: int | None = None,
-    cache: ResultCache | None = None,
-    on_progress: Callable[[PointRecord], None] | None = None,
-    timeout_s: float | None = None,
-    retry: RetryPolicy | None = None,
-    faults: Any = None,
-    checkpoint: SweepCheckpoint | str | os.PathLike | None = None,
-    resume: bool = False,
-) -> SweepReport:
-    """One-call convenience wrapper around :class:`SweepExecutor`."""
-    executor = SweepExecutor(
-        backend,
-        max_workers=max_workers,
-        cache=cache,
-        on_progress=on_progress,
-        timeout_s=timeout_s,
-        retry=retry,
-    )
-    return executor.run(
-        values, task, seed=seed, faults=faults, checkpoint=checkpoint, resume=resume
-    )

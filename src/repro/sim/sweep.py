@@ -4,21 +4,16 @@ A sweep applies a metric function across a list of parameter values and
 collects ``(value, metric)`` points — the backbone of every "X versus
 distance/angle/rate" figure in the experiment suite.
 
-:func:`sweep_1d` keeps its original in-order serial loop as the
-**reference implementation**; pass ``executor=`` (a
-:class:`repro.sim.executor.SweepExecutor`) to route the same sweep
-through the parallel/cached engine — the determinism suite pins both
-paths to identical results.
+:func:`sweep_1d` is the in-order, in-process loop.  Sweeps that need a
+process pool, a result cache, retries or checkpoints run through
+:class:`repro.sim.executor.SweepExecutor` instead (wrap a plain
+``metric_fn`` in a :class:`~repro.sim.executor.FunctionTask`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Callable, Iterable, Sequence
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (executor imports us)
-    from repro.sim.executor import SweepExecutor
 
 __all__ = ["SweepPoint", "sweep_1d"]
 
@@ -35,24 +30,12 @@ def sweep_1d(
     values: Iterable[float],
     metric_fn: Callable[[float], object],
     on_point: Callable[[SweepPoint], None] | None = None,
-    executor: "SweepExecutor | None" = None,
 ) -> list[SweepPoint]:
-    """Evaluate ``metric_fn`` at each value.
+    """Evaluate ``metric_fn`` at each value, in order.
 
     ``on_point`` (if given) is called after each evaluation — benches
     use it to stream progress lines.
-
-    With ``executor=None`` this is the serial reference loop.  With an
-    executor, the metric function is wrapped in a
-    :class:`~repro.sim.executor.FunctionTask` and dispatched through
-    the engine (``process`` backends need a picklable ``metric_fn``);
-    results are identical either way.
     """
-    if executor is not None:
-        from repro.sim.executor import FunctionTask
-
-        report = executor.run(values, FunctionTask(metric_fn), on_point=on_point)
-        return report.points
     points: list[SweepPoint] = []
     for value in values:
         point = SweepPoint(value=float(value), metric=metric_fn(float(value)))

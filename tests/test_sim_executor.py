@@ -32,10 +32,8 @@ from repro.sim.executor import (
     FunctionTask,
     PointRecord,
     SweepExecutor,
-    run_sweep,
 )
 from repro.sim.monte_carlo import BerEstimate, LinkBerAccumulator, estimate_link_ber
-from repro.sim.sweep import sweep_1d
 
 
 def _noisy_config() -> LinkConfig:
@@ -311,28 +309,6 @@ class TestExecutorSurface:
         assert [r.index for r in seen] == [0, 1]
         assert all(not r.cached for r in seen)
         assert "computed" in seen[0].describe()
-
-    def test_sweep_1d_executor_path_matches_reference(self):
-        reference = sweep_1d([1.0, 2.0, 3.0], _metric_squared)
-        routed = sweep_1d(
-            [1.0, 2.0, 3.0], _metric_squared, executor=SweepExecutor("serial")
-        )
-        assert routed == reference
-
-    def test_sweep_1d_on_point_streams_in_order(self):
-        seen = []
-        sweep_1d(
-            [1.0, 2.0],
-            _metric_squared,
-            on_point=lambda p: seen.append(p.value),
-            executor=SweepExecutor("serial"),
-        )
-        assert seen == [1.0, 2.0]
-
-    def test_run_sweep_convenience(self):
-        report = run_sweep([2.0], _task(), backend="serial", seed=1)
-        assert len(report.points) == 1
-        assert report.backend == "serial"
 
     def test_from_env_parses_environment(self, tmp_path):
         executor = SweepExecutor.from_env(
