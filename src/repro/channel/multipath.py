@@ -9,8 +9,9 @@ Exact fast kernels
 ------------------
 :meth:`MultipathChannel.apply` is arithmetically identical to the
 original per-path ``Signal.delay`` / ``Signal.scale`` / ``Signal.__add__``
-chain (kept in-tree as :meth:`MultipathChannel._apply_reference` for the
-equivalence tests and the hot-path benchmarks), but
+chain (kept as ``multipath_apply_reference`` in
+``tests/reference_kernels.py`` for the equivalence tests and the
+hot-path benchmarks), but
 
 * hoists the per-path delay/gain arrays out of the hot loop into a
   ``__post_init__`` cache (the old implementation re-read every
@@ -323,8 +324,8 @@ class MultipathChannel:
     def apply(self, sig: Signal) -> Signal:
         """Propagate ``sig`` through the channel.
 
-        Bit-identical to :meth:`_apply_reference` (the original
-        per-``Signal`` implementation), via the cached tap grid and the
+        Bit-identical to the original per-``Signal`` implementation
+        (``tests/reference_kernels.py``), via the cached tap grid and the
         shared-FFT accumulation kernel.  The input-independent half of
         the delay operator (whole/frac decomposition and the exp phase
         ramps) is planned once per signal shape and cached on the
@@ -345,22 +346,6 @@ class MultipathChannel:
         return Signal(
             _apply_plan(sig.samples, plan), sig.sample_rate, dict(sig.metadata)
         )
-
-    def _apply_reference(self, sig: Signal) -> Signal:
-        """Original implementation: per-path ``Signal`` ops.
-
-        Kept as the bit-exactness reference for the equivalence tests
-        and as the "before" side of the ``multipath_apply`` hot-path
-        microbenchmark.
-        """
-        total = Signal.zeros(sig.num_samples, sig.sample_rate)
-        for path in self.paths:
-            delayed = sig.delay(path.delay_s).scale(path.gain)
-            total = total + delayed
-        # Keep the output the same length as the input so frame timing
-        # downstream is unaffected; energy in the trailing delay spread
-        # of the last symbols is clipped, as a real capture window does.
-        return Signal(total.samples[: sig.num_samples], sig.sample_rate, dict(sig.metadata))
 
     def frequency_response(self, freqs_hz: np.ndarray) -> np.ndarray:
         """Complex baseband frequency response at ``freqs_hz``."""

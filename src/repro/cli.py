@@ -15,7 +15,6 @@
 * ``beamsearch``  AP beam-search strategies toward a tag
 * ``schemes``     modulation table with SNR thresholds
 * ``cache``       inspect / invalidate / LRU-prune a sweep result cache
-* ``bench``       hot-path microbenchmarks (reference vs vectorized)
 
 All commands take ``--seed``; identical invocations print identical
 numbers — including ``sweep --backend process``, whose per-point
@@ -161,23 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     cache.add_argument("--verify", action="store_true",
                        help="integrity-scan every entry (sha256) and "
                             "quarantine the corrupt ones")
-
-    bench = sub.add_parser(
-        "bench", help="hot-path microbenchmarks: reference vs vectorized"
-    )
-    bench.add_argument("--quick", action="store_true",
-                       help="smaller workloads (CI-sized, noisier ratios)")
-    bench.add_argument("--json", default=None, metavar="PATH",
-                       help="also write the perf-trajectory JSON to PATH")
-    bench.add_argument("--check", default=None, metavar="BASELINE",
-                       help="regression gate: exit 1 if any kernel's speedup "
-                            "falls below 0.6x of its value recorded in the "
-                            "BASELINE trajectory JSON (skipped when "
-                            "REPRO_SKIP_BENCH=1)")
-    bench.add_argument("--compare", nargs=2, default=None,
-                       metavar=("OLD.json", "NEW.json"),
-                       help="print per-kernel speedup deltas between two "
-                            "trajectory JSONs and exit (no benchmarks run)")
 
     energy = sub.add_parser("energy", help="node power / energy table")
     energy.add_argument("--symbol-rate", type=float, default=10e6)
@@ -556,62 +538,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     print(f"entries   : {len(cache)}")
     print(f"size      : {cache.size_bytes()} bytes")
     print(f"code ver  : {cache.version[:16]}…")
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.sim.profiling import (
-        REGRESSION_FLOOR,
-        check_regression,
-        compare_trajectories,
-        run_hotpath_benchmarks,
-        write_trajectory,
-    )
-
-    if args.compare is not None:
-        old_path, new_path = args.compare
-        table = ResultTable(
-            f"speedup deltas: {old_path} -> {new_path}",
-            ["kernel", "old", "new", "delta"],
-        )
-        for row in compare_trajectories(old_path, new_path):
-            table.add_row(*row)
-        print(table.to_text())
-        return 0
-    if args.check is not None and os.environ.get("REPRO_SKIP_BENCH") == "1":
-        print("REPRO_SKIP_BENCH=1: skipping the bench regression gate")
-        return 0
-    report = run_hotpath_benchmarks(quick=args.quick)
-    table = ResultTable(
-        "hot-path microbenchmarks (reference vs vectorized)",
-        ["kernel", "reference_ms", "vectorized_ms", "speedup"],
-    )
-    for bench in report.benchmarks:
-        table.add_row(
-            bench.name,
-            round(bench.reference_s * 1e3, 3),
-            round(bench.vectorized_s * 1e3, 3),
-            f"{bench.speedup:.1f}x",
-        )
-    print(table.to_text())
-    if args.json is not None:
-        path = write_trajectory(report, args.json)
-        print(f"\nperf trajectory written to {path}")
-    if args.check is not None:
-        failures = check_regression(report, args.check)
-        if failures:
-            print(
-                f"\nbench regression gate FAILED "
-                f"(floor: {REGRESSION_FLOOR:.1f}x of recorded):",
-                file=sys.stderr,
-            )
-            for line in failures:
-                print(f"  {line}", file=sys.stderr)
-            return 1
-        print(
-            f"\nbench regression gate passed: every kernel within "
-            f"{REGRESSION_FLOOR:.1f}x of {args.check}"
-        )
     return 0
 
 
@@ -1119,7 +1045,6 @@ _COMMANDS = {
     "link": _cmd_link,
     "sweep": _cmd_sweep,
     "cache": _cmd_cache,
-    "bench": _cmd_bench,
     "energy": _cmd_energy,
     "network": _cmd_network,
     "netsim": _cmd_netsim,

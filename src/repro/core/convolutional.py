@@ -18,15 +18,6 @@ import numpy as np
 
 __all__ = ["ConvolutionalCode", "K7_CODE"]
 
-#: Valid Viterbi backends (``decode_soft``/``decode_hard``).
-#: ``"fast"`` runs the forward ACS pass through the numba kernel in
-#: :mod:`repro.sim.jit` when numba is importable; without numba it
-#: falls back (with a logged notice) to ``"vectorized"``.  All three
-#: backends return byte-identical decodes: the compiled kernel uses no
-#: fastmath, accumulates branch metrics in the reference order and
-#: resolves ties to the lower predecessor.
-VITERBI_BACKENDS = ("vectorized", "reference", "fast")
-
 
 def _bit_count(value: int) -> int:
     return bin(value).count("1")
@@ -98,9 +89,7 @@ class ConvolutionalCode:
 
     # -- decoding -----------------------------------------------------------
 
-    def decode_hard(
-        self, coded: np.ndarray, backend: str = "vectorized"
-    ) -> np.ndarray:
+    def decode_hard(self, coded: np.ndarray) -> np.ndarray:
         """Viterbi decode hard bits (0/1); returns the message bits."""
         coded = np.asarray(coded, dtype=np.int8)
         if coded.size % self.rate_inverse:
@@ -109,29 +98,15 @@ class ConvolutionalCode:
             )
         # map to soft antipodal: 0 -> +1, 1 -> -1, then reuse soft path
         soft = 1.0 - 2.0 * coded.astype(np.float64)
-        return self.decode_soft(soft, backend=backend)
+        return self.decode_soft(soft)
 
-    def decode_soft(
-        self, soft: np.ndarray, backend: str = "vectorized"
-    ) -> np.ndarray:
+    def decode_soft(self, soft: np.ndarray) -> np.ndarray:
         """Viterbi decode soft values (+ for bit 0, - for bit 1).
 
         Uses a correlation branch metric (maximised), equivalent to
         minimum squared Euclidean distance for fixed-energy inputs.
         Expects a terminated stream produced by :meth:`encode`; the
         K-1 tail bits are stripped from the result.
-
-        Parameters
-        ----------
-        backend:
-            ``"vectorized"`` (default) updates all ``2^(K-1)`` state
-            metrics per trellis step with array operations;
-            ``"reference"`` is the original nested-loop implementation
-            kept for equivalence testing and benchmarking; ``"fast"``
-            runs the forward pass through the compiled ACS kernel when
-            numba is available and falls back to ``"vectorized"``
-            (logged, not silent) when it is not.  All backends return
-            byte-identical decodes (the tie-break rules match exactly).
         """
         soft = np.asarray(soft, dtype=np.float64)
         if soft.size % self.rate_inverse:
@@ -141,15 +116,7 @@ class ConvolutionalCode:
         num_steps = soft.size // self.rate_inverse
         if num_steps <= self.constraint_length - 1:
             raise ValueError("stream shorter than the termination tail")
-        if backend == "vectorized":
-            return self._viterbi_vectorized(soft)
-        if backend == "reference":
-            return self._viterbi_reference(soft)
-        if backend == "fast":
-            return self._viterbi_fast(soft)
-        raise ValueError(
-            f"unknown Viterbi backend {backend!r}; choose from {VITERBI_BACKENDS}"
-        )
+        return self._viterbi_vectorized(soft)
 
     # -- internals ---------------------------------------------------------------
 
@@ -176,11 +143,12 @@ class ConvolutionalCode:
         gathers, one comparison and two ``where`` selects — no Python
         loop over states or bits.
 
-        Byte-identical to :meth:`_viterbi_reference`: branch metrics
-        accumulate products in the same order as ``np.dot`` (sequential
-        over the handful of polynomials), and ties select the lower
-        predecessor exactly as the reference's ascending-state scan
-        with a strict ``>`` update does.
+        Byte-identical to the original nested-loop decoder
+        (``tests/reference_kernels.py``): branch metrics accumulate
+        products in the same order as its ``np.dot`` (sequential over
+        the handful of polynomials), and ties select the lower
+        predecessor exactly as its ascending-state scan with a strict
+        ``>`` update does.
         """
         num_steps = soft.size // self.rate_inverse
         num_states = self.num_states
@@ -219,73 +187,6 @@ class ConvolutionalCode:
             state = int(predecessor[step, state])
         return decoded[: num_steps - (self.constraint_length - 1)]
 
-    def _viterbi_fast(self, soft: np.ndarray) -> np.ndarray:
-        """Compiled forward ACS pass (numba), vectorized fallback.
-
-        Byte-identical to :meth:`_viterbi_vectorized`: the kernel uses
-        no fastmath, accumulates the branch metric j-sequentially and
-        breaks metric ties toward the lower predecessor (strict ``>``
-        favours high), which is the same rule the array version's
-        ``m_high > m_low`` select implements.
-        """
-        from repro.sim import jit
-
-        if not jit.HAVE_NUMBA:
-            jit.notify_fallback("Viterbi ACS forward pass")
-            return self._viterbi_vectorized(soft)
-        num_steps = soft.size // self.rate_inverse
-        branch_outputs, prev_low, prev_high, state_bits = _viterbi_tables(
-            self.constraint_length, self.polynomials
-        )
-        predecessor = jit.viterbi_forward_jit(
-            np.ascontiguousarray(soft.reshape(num_steps, self.rate_inverse)),
-            branch_outputs,
-            prev_low,
-            prev_high,
-            state_bits,
-        )
-        state = 0  # terminated stream ends in the zero state
-        decoded = np.empty(num_steps, dtype=np.int8)
-        for step in range(num_steps - 1, -1, -1):
-            decoded[step] = state & 1
-            state = int(predecessor[step, state])
-        return decoded[: num_steps - (self.constraint_length - 1)]
-
-    def _viterbi_reference(self, soft: np.ndarray) -> np.ndarray:
-        """Forward pass with predecessor bookkeeping, then traceback."""
-        num_steps = soft.size // self.rate_inverse
-        num_states = self.num_states
-        branch_outputs = self._branch_table()
-
-        path_metric = np.full(num_states, -np.inf)
-        path_metric[0] = 0.0
-        predecessor = np.zeros((num_steps, num_states), dtype=np.int32)
-        input_bit = np.zeros((num_steps, num_states), dtype=np.int8)
-
-        for step in range(num_steps):
-            received = soft[step * self.rate_inverse : (step + 1) * self.rate_inverse]
-            new_metric = np.full(num_states, -np.inf)
-            for state in range(num_states):
-                if path_metric[state] == -np.inf:
-                    continue
-                for bit in (0, 1):
-                    next_state = ((state << 1) | bit) & (num_states - 1)
-                    metric = path_metric[state] + float(
-                        np.dot(received, branch_outputs[state, bit])
-                    )
-                    if metric > new_metric[next_state]:
-                        new_metric[next_state] = metric
-                        predecessor[step, next_state] = state
-                        input_bit[step, next_state] = bit
-            path_metric = new_metric
-
-        state = 0  # terminated stream ends in the zero state
-        decoded = np.empty(num_steps, dtype=np.int8)
-        for step in range(num_steps - 1, -1, -1):
-            decoded[step] = input_bit[step, state]
-            state = predecessor[step, state]
-        return decoded[: num_steps - (self.constraint_length - 1)]
-
 
 @lru_cache(maxsize=64)
 def _viterbi_tables(
@@ -296,8 +197,7 @@ def _viterbi_tables(
     Returns ``(branch_outputs, prev_low, prev_high, state_bits)``:
 
     * ``branch_outputs[s, b, j]`` — antipodal encoder output ``j`` when
-      input bit ``b`` is shifted into state ``s`` (same table the
-      reference builds per call);
+      input bit ``b`` is shifted into state ``s`` (:meth:`_branch_table`);
     * ``prev_low[s] = s >> 1`` and ``prev_high[s] = (s >> 1) + S/2`` —
       the two possible predecessors of next-state ``s``;
     * ``state_bits[s] = s & 1`` — the input bit every transition into

@@ -156,41 +156,16 @@ class Constellation:
         indices = np.argmin(distances, axis=1)
         return self.bit_labels[indices].reshape(-1).astype(np.int8)
 
-    def soft_bits(
-        self,
-        symbols: np.ndarray,
-        noise_variance: float,
-        backend: str = "reference",
-    ) -> np.ndarray:
+    def soft_bits(self, symbols: np.ndarray, noise_variance: float) -> np.ndarray:
         """Max-log-MAP bit LLRs: positive favours bit 0.
 
         ``LLR_b = (min_{s: b=1} |y-s|^2 - min_{s: b=0} |y-s|^2) / N0``
         — the standard soft demapper feeding a soft-decision decoder
         (:meth:`repro.core.convolutional.ConvolutionalCode.decode_soft`
         uses the same positive-means-zero convention).
-
-        ``backend="fast"`` dispatches to the compiled statistical-tier
-        kernel (:func:`repro.sim.jit.soft_demod_llrs`): same demapper,
-        numba-compiled when available (pure-numpy fallback otherwise,
-        logged once per process).  Like every fast-tier kernel it is
-        statistically equivalent, not byte-identical — keep the default
-        for anything pinned by golden fingerprints.
         """
         if noise_variance <= 0:
             raise ValueError(f"noise variance must be positive, got {noise_variance}")
-        if backend not in ("reference", "fast"):
-            raise ValueError(
-                f"unknown backend {backend!r}; choose 'reference' or 'fast'"
-            )
-        if backend == "fast":
-            from repro.sim import jit
-
-            return jit.soft_demod_llrs(
-                np.ascontiguousarray(symbols, dtype=np.complex128),
-                self.points,
-                self.bit_labels,
-                float(noise_variance),
-            ).reshape(-1)
         symbols = np.asarray(symbols, dtype=np.complex128)
         sq_dist = np.abs(symbols[:, None] - self.points[None, :]) ** 2
         k = self.bits_per_symbol

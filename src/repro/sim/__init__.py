@@ -7,9 +7,8 @@ that drives production-scale campaigns without perturbing a single
 number, its fault-tolerance layer (:mod:`repro.sim.retry` seeded
 backoff, :mod:`repro.sim.checkpoint` JSONL resume, and the
 :mod:`repro.sim.faults` chaos harness that proves every recovery
-path), the batched frame-chain kernel (:mod:`repro.sim.batch`) that
-makes each point cheap, and the hot-path microbenchmarks
-(:mod:`repro.sim.profiling`) that keep it that way.
+path), and the batched frame-chain kernel (:mod:`repro.sim.batch`) that
+makes each point cheap.
 """
 
 from repro.sim.monte_carlo import BerEstimate, estimate_link_ber, awgn_symbol_ber

@@ -1,9 +1,9 @@
 """Optional numba compilation layer for the fast statistical tier.
 
-The fast tier (:mod:`repro.sim.fastlink`, the ``"fast"`` Viterbi
-backend) runs its inner loops through ``@njit`` kernels when numba is
-importable and through pure-numpy fallbacks when it is not.  The
-contract is:
+The fast tier (:mod:`repro.sim.fastlink`) runs two inner loops, the
+Rician tap synthesis and the hard-decision demapper, through ``@njit``
+kernels when numba is importable and through pure-numpy fallbacks when
+it is not.  The contract is:
 
 * **Never silent.**  When numba is absent, the first use of each
   kernel logs a warning through :func:`notify_fallback` — the results
@@ -12,11 +12,7 @@ contract is:
 * **No new dependency.**  numba is never required; the fallbacks are
   plain numpy and are what CI's numba-free leg exercises.
 * **Tier discipline.**  Kernels here serve the *statistical* tier
-  (fastmath, reassociated reductions) — except the Viterbi forward
-  pass, which uses no fastmath and accumulates branch metrics in the
-  reference order, so the ``"fast"`` Viterbi backend stays
-  byte-identical to ``"vectorized"`` (and its fallback *is*
-  ``"vectorized"``).
+  (fastmath, reassociated reductions) and nothing bit-exact calls them.
 
 The :func:`numba_status` string ("absent" or the version) is recorded
 in the hot-path benchmark environment block so perf trajectories across
@@ -36,10 +32,8 @@ __all__ = [
     "NUMBA_VERSION",
     "numba_status",
     "notify_fallback",
-    "viterbi_forward_jit",
     "rician_gains",
     "nearest_symbol_indices",
-    "soft_demod_llrs",
 ]
 
 try:  # pragma: no cover - exercised on the CI numba leg
@@ -88,52 +82,6 @@ def notify_fallback(feature: str) -> None:
         "(same statistical tier, compiled speedup unavailable)",
         feature,
     )
-
-
-# -- Viterbi add-compare-select forward pass ---------------------------------
-#
-# No fastmath here: branch metrics accumulate j-sequentially and ties
-# resolve to the lower predecessor (strict ``>`` favours high), exactly
-# like ConvolutionalCode._viterbi_vectorized, so the compiled forward
-# pass is byte-identical to the vectorized one.
-
-
-@_njit(cache=True)
-def viterbi_forward_jit(soft_steps, branch_outputs, prev_low, prev_high, state_bits):
-    """Forward ACS pass: returns the ``(steps, states)`` predecessor map.
-
-    Only called when numba is present (the fallback for the ``"fast"``
-    Viterbi backend is the vectorized implementation itself, which this
-    kernel matches byte for byte); without numba this plain-Python
-    nested loop would be far slower than the vectorized path.
-    """
-    num_steps, rate = soft_steps.shape
-    num_states = prev_low.shape[0]
-    path = np.full(num_states, -np.inf)
-    path[0] = 0.0
-    scratch = np.empty(num_states)
-    predecessor = np.empty((num_steps, num_states), dtype=np.int32)
-    for step in range(num_steps):
-        for state in range(num_states):
-            low = prev_low[state]
-            high = prev_high[state]
-            bit = state_bits[state]
-            bm_low = 0.0
-            bm_high = 0.0
-            for j in range(rate):
-                bm_low += soft_steps[step, j] * branch_outputs[low, bit, j]
-                bm_high += soft_steps[step, j] * branch_outputs[high, bit, j]
-            m_low = path[low] + bm_low
-            m_high = path[high] + bm_high
-            if m_high > m_low:
-                scratch[state] = m_high
-                predecessor[step, state] = high
-            else:
-                scratch[state] = m_low
-                predecessor[step, state] = low
-        for state in range(num_states):
-            path[state] = scratch[state]
-    return predecessor
 
 
 # -- Rician tap synthesis ----------------------------------------------------
@@ -226,68 +174,3 @@ def nearest_symbol_indices(symbols: np.ndarray, points: np.ndarray) -> np.ndarra
         return _nearest_indices_kernel(symbols, points)
     notify_fallback("hard-decision demodulation")
     return _nearest_indices_numpy(symbols, points)
-
-
-# -- soft demodulation (max-log-MAP) ----------------------------------------
-
-
-@_njit(cache=True, fastmath=True)
-def _soft_demod_kernel(symbols, points, bit_labels, noise_variance):
-    n = symbols.shape[0]
-    size = points.shape[0]
-    k = bit_labels.shape[1]
-    llrs = np.empty(n * k, dtype=np.float64)
-    dists = np.empty(size, dtype=np.float64)
-    for i in range(n):
-        for s in range(size):
-            diff = symbols[i] - points[s]
-            dists[s] = diff.real * diff.real + diff.imag * diff.imag
-        for b in range(k):
-            d_zero = np.inf
-            d_one = np.inf
-            for s in range(size):
-                if bit_labels[s, b] == 0:
-                    if dists[s] < d_zero:
-                        d_zero = dists[s]
-                else:
-                    if dists[s] < d_one:
-                        d_one = dists[s]
-            llrs[i * k + b] = (d_one - d_zero) / noise_variance
-    return llrs
-
-
-def _soft_demod_numpy(symbols, points, bit_labels, noise_variance):
-    diff = symbols[:, None] - points[None, :]
-    sq_dist = diff.real * diff.real + diff.imag * diff.imag
-    k = bit_labels.shape[1]
-    llrs = np.empty((symbols.shape[0], k), dtype=np.float64)
-    for b in range(k):
-        zero_mask = bit_labels[:, b] == 0
-        llrs[:, b] = (
-            sq_dist[:, ~zero_mask].min(axis=1) - sq_dist[:, zero_mask].min(axis=1)
-        ) / noise_variance
-    return llrs.reshape(-1)
-
-
-def soft_demod_llrs(
-    symbols: np.ndarray,
-    points: np.ndarray,
-    bit_labels: np.ndarray,
-    noise_variance: float,
-) -> np.ndarray:
-    """Max-log-MAP bit LLRs, positive favours bit 0.
-
-    Same demapper as :meth:`Constellation.soft_bits` up to floating
-    summation detail (squared distances computed on split real/imag
-    parts instead of ``np.abs(...)**2``) — a statistical-tier kernel,
-    accepted by the equivalence suite rather than byte comparison.
-    """
-    if noise_variance <= 0:
-        raise ValueError(f"noise variance must be positive, got {noise_variance}")
-    symbols = np.ascontiguousarray(symbols)
-    points = np.ascontiguousarray(points)
-    bit_labels = np.ascontiguousarray(bit_labels)
-    if HAVE_NUMBA:
-        return _soft_demod_kernel(symbols, points, bit_labels, float(noise_variance))
-    notify_fallback("soft demodulation")
-    return _soft_demod_numpy(symbols, points, bit_labels, float(noise_variance))

@@ -387,30 +387,6 @@ class TestSweepLinkBackend:
         assert numbers_only(serial_out) == numbers_only(fused_out)
 
 
-class TestBenchCommand:
-    def test_prints_speedup_table(self, tmp_path, capsys, monkeypatch):
-        from repro.sim import profiling
-
-        stub = profiling.BenchReport(
-            benchmarks=(
-                profiling.KernelBench(
-                    name="viterbi_decode", description="stub",
-                    reference_s=1.0, vectorized_s=0.05, repeats=1,
-                ),
-            ),
-            quick=True,
-            generated="2000-01-01T00:00:00Z",
-        )
-        monkeypatch.setattr(profiling, "run_hotpath_benchmarks", lambda quick: stub)
-        out_path = tmp_path / "bench.json"
-        code = main(["bench", "--quick", "--json", str(out_path)])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "viterbi_decode" in out
-        assert "20.0x" in out
-        assert out_path.exists()
-
-
 class TestSweepFaultToleranceFlags:
     _ARGV = ["sweep", "--metric", "ber", "--start", "2", "--stop", "10",
              "--points", "3", "--target-errors", "5", "--seed", "0"]

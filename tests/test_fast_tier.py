@@ -185,29 +185,6 @@ class TestTierMechanics:
             r for r in caplog.records if "pure-numpy fallback" in r.getMessage()
         ]
 
-    def test_soft_demod_fast_backend_agrees_in_sign(self):
-        """The compiled soft demapper: same LLRs up to float ordering.
-
-        Sign agreement is what the Viterbi decoder consumes; magnitudes
-        may differ at machine epsilon from summation-order changes.
-        """
-        from repro.core.modulation import get_scheme
-
-        constellation = get_scheme("16QAM").constellation
-        rng = np.random.default_rng(2)
-        sent = constellation.points[
-            rng.integers(0, constellation.points.size, 500)
-        ]
-        rx = sent + 0.2 * (
-            rng.standard_normal(500) + 1j * rng.standard_normal(500)
-        )
-        reference = constellation.soft_bits(rx, 0.08)
-        fast = constellation.soft_bits(rx, 0.08, backend="fast")
-        assert np.allclose(reference, fast, rtol=1e-9, atol=1e-12)
-        assert np.array_equal(np.sign(reference), np.sign(fast))
-        with pytest.raises(ValueError):
-            constellation.soft_bits(rx, 0.08, backend="nope")
-
     def test_fast_never_shares_cache_entries_with_exact_tiers(self):
         """Belt-and-braces on top of the executor-level keyspace test."""
         from repro.sim.executor import BerSweepTask

@@ -16,7 +16,7 @@ import os
 
 import pytest
 
-from repro.sim.profiling import run_hotpath_benchmarks
+from tools.profile_hotpaths import run_hotpath_benchmarks
 
 pytestmark = pytest.mark.skipif(
     os.environ.get("REPRO_SKIP_BENCH") == "1",

@@ -1,8 +1,8 @@
 """Equivalence tests for the vectorized hot-path kernels.
 
-Every vectorized kernel in this PR keeps its reference implementation
-alive; these tests pin the contract that vectorization changed *speed
-only*:
+Every vectorized kernel keeps a reference implementation alive (the
+original loops live in ``tests/reference_kernels.py``); these tests pin
+the contract that vectorization changed *speed only*:
 
 * the array-wide Viterbi decodes **byte-identically** to the nested
   reference loop over randomized polynomials, constraint lengths and
@@ -53,6 +53,11 @@ from repro.sim.batch import (
 )
 from repro.sim.cache import MISS, ResultCache
 from repro.sim.monte_carlo import estimate_link_ber
+from tests.reference_kernels import (
+    multipath_apply_reference,
+    viterbi_reference,
+    viterbi_reference_hard,
+)
 
 
 # -- Viterbi: vectorized == reference ----------------------------------------
@@ -81,8 +86,8 @@ class TestViterbiBackendEquivalence:
             if num_flips:
                 flips = rng.choice(coded.size, size=num_flips, replace=False)
                 coded[flips] ^= 1
-            reference = code.decode_hard(coded, backend="reference")
-            vectorized = code.decode_hard(coded, backend="vectorized")
+            reference = viterbi_reference_hard(code, coded)
+            vectorized = code.decode_hard(coded)
             assert np.array_equal(reference, vectorized), (
                 f"K={code.constraint_length} polys={code.polynomials} "
                 f"bits={num_bits} flips={num_flips}"
@@ -95,8 +100,8 @@ class TestViterbiBackendEquivalence:
             message = rng.integers(0, 2, size=num_bits).astype(np.int8)
             soft = 1.0 - 2.0 * code.encode(message).astype(np.float64)
             soft += 0.8 * rng.standard_normal(soft.size)
-            reference = code.decode_soft(soft, backend="reference")
-            vectorized = code.decode_soft(soft, backend="vectorized")
+            reference = viterbi_reference(code, soft)
+            vectorized = code.decode_soft(soft)
             assert np.array_equal(reference, vectorized)
 
     def test_k7_long_message(self, rng):
@@ -104,13 +109,9 @@ class TestViterbiBackendEquivalence:
         coded = K7_CODE.encode(message)
         coded[::37] ^= 1
         assert np.array_equal(
-            K7_CODE.decode_hard(coded, backend="reference"),
-            K7_CODE.decode_hard(coded, backend="vectorized"),
+            viterbi_reference_hard(K7_CODE, coded),
+            K7_CODE.decode_hard(coded),
         )
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            K7_CODE.decode_hard(np.zeros(40, dtype=np.int8), backend="numba")
 
 
 # -- fast CRC / constellation LUTs: integer-exact ----------------------------
@@ -298,7 +299,7 @@ class TestMultipathKernelEquivalence:
             samples = rng.standard_normal(400) + 1j * rng.standard_normal(400)
             sig = Signal(samples, self.FS)
             fast = channel.apply(sig)
-            ref = channel._apply_reference(sig)
+            ref = multipath_apply_reference(channel, sig)
             assert np.array_equal(fast.samples, ref.samples)
             assert fast.sample_rate == ref.sample_rate
 
@@ -314,7 +315,8 @@ class TestMultipathKernelEquivalence:
         samples = rng.standard_normal(256) + 1j * rng.standard_normal(256)
         sig = Signal(samples, self.FS)
         assert np.array_equal(
-            channel.apply(sig).samples, channel._apply_reference(sig).samples
+            channel.apply(sig).samples,
+            multipath_apply_reference(channel, sig).samples,
         )
 
     def test_rows_kernel_matches_per_row_apply(self, rng):

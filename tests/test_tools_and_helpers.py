@@ -1,5 +1,6 @@
 """Tests for tools/generate_api_docs.py and small helper functions."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -75,16 +76,17 @@ class TestApiDocGenerator:
 class TestBenchRegressionGate:
     """Pure-logic tests for the CI bench-regression gate.
 
-    The gate (``repro bench --check BENCH_hotpaths.json``) compares a
-    fresh quick-mode run against the committed trajectory file and fails
-    when any kernel's speedup collapses below ``REGRESSION_FLOOR`` times
-    its recorded value.  These tests exercise the comparison logic with
-    synthetic reports so no actual benchmarking is involved.
+    The gate (``tools/profile_hotpaths.py --check BENCH_hotpaths.json``)
+    compares a fresh quick-mode run against the committed trajectory
+    file and fails when any kernel's speedup collapses below
+    ``REGRESSION_FLOOR`` times its recorded value.  These tests exercise
+    the comparison logic with synthetic reports so no actual
+    benchmarking is involved.
     """
 
     @staticmethod
     def _report(**speedups):
-        from repro.sim.profiling import BenchReport, KernelBench
+        from tools.profile_hotpaths import BenchReport, KernelBench
 
         return BenchReport(
             benchmarks=tuple(
@@ -102,14 +104,14 @@ class TestBenchRegressionGate:
         )
 
     def test_passes_when_within_floor(self):
-        from repro.sim.profiling import check_regression
+        from tools.profile_hotpaths import check_regression
 
         report = self._report(viterbi_decode=20.0, frame_chain_tx=40.0)
         baseline = {"viterbi_decode": 22.0, "frame_chain_tx": 45.0}
         assert check_regression(report, baseline) == []
 
     def test_fails_when_speedup_collapses(self):
-        from repro.sim.profiling import check_regression
+        from tools.profile_hotpaths import check_regression
 
         # 1.1x measured vs 22x recorded: the classic "kernel rerouted
         # back through the reference loop" signature.
@@ -119,13 +121,13 @@ class TestBenchRegressionGate:
         assert "viterbi_decode" in failures[0]
 
     def test_boundary_exactly_at_floor_passes(self):
-        from repro.sim.profiling import REGRESSION_FLOOR, check_regression
+        from tools.profile_hotpaths import REGRESSION_FLOOR, check_regression
 
         report = self._report(viterbi_decode=REGRESSION_FLOOR * 10.0)
         assert check_regression(report, {"viterbi_decode": 10.0}) == []
 
     def test_kernel_missing_from_run_is_a_failure(self):
-        from repro.sim.profiling import check_regression
+        from tools.profile_hotpaths import check_regression
 
         report = self._report(viterbi_decode=20.0)
         failures = check_regression(
@@ -135,13 +137,13 @@ class TestBenchRegressionGate:
         assert "frame_chain_tx" in failures[0]
 
     def test_new_kernel_not_in_baseline_is_ignored(self):
-        from repro.sim.profiling import check_regression
+        from tools.profile_hotpaths import check_regression
 
         report = self._report(viterbi_decode=20.0, brand_new_kernel=1.0)
         assert check_regression(report, {"viterbi_decode": 20.0}) == []
 
     def test_floor_validation(self):
-        from repro.sim.profiling import check_regression
+        from tools.profile_hotpaths import check_regression
 
         report = self._report(viterbi_decode=20.0)
         with pytest.raises(ValueError):
@@ -150,7 +152,7 @@ class TestBenchRegressionGate:
             check_regression(report, {"viterbi_decode": 20.0}, floor=1.5)
 
     def test_load_trajectory_round_trip(self, tmp_path):
-        from repro.sim.profiling import (
+        from tools.profile_hotpaths import (
             check_regression,
             load_trajectory_speedups,
             write_trajectory,
@@ -163,6 +165,106 @@ class TestBenchRegressionGate:
         assert speedups == {"viterbi_decode": 21.5, "frame_chain_tx": 44.0}
         # a report can be checked against its own trajectory file
         assert check_regression(report, path) == []
+
+
+class TestProfileHotpathsMain:
+    """Exit codes of ``tools/profile_hotpaths.py``, the CI gate step.
+
+    The suite itself is stubbed out: these tests pin what ``main`` does
+    with a report, not how fast the kernels are.
+    """
+
+    @pytest.fixture
+    def tool(self, monkeypatch):
+        from tools import profile_hotpaths
+
+        monkeypatch.delenv("REPRO_SKIP_BENCH", raising=False)
+        return profile_hotpaths
+
+    @staticmethod
+    def _stub_suite(tool, monkeypatch, speedup):
+        """Replace the suite by one viterbi_decode entry; returns the
+        list of ``quick`` flags it was called with."""
+        report = tool.BenchReport(
+            benchmarks=(
+                tool.KernelBench(
+                    name="viterbi_decode",
+                    description="stub",
+                    reference_s=1.0,
+                    vectorized_s=1.0 / speedup,
+                    repeats=1,
+                ),
+            ),
+            quick=True,
+            generated="2000-01-01T00:00:00Z",
+        )
+        calls = []
+
+        def run(quick):
+            calls.append(quick)
+            return report
+
+        monkeypatch.setattr(tool, "run_hotpath_benchmarks", run)
+        return calls
+
+    @staticmethod
+    def _baseline(path, speedup=22.0):
+        path.write_text(
+            json.dumps({"benchmarks": [{"name": "viterbi_decode", "speedup": speedup}]})
+        )
+        return str(path)
+
+    def test_collapsed_kernel_exits_one(self, tool, monkeypatch, tmp_path, capsys):
+        self._stub_suite(tool, monkeypatch, 1.1)
+        out = tmp_path / "bench.json"
+        baseline = self._baseline(tmp_path / "baseline.json")
+        code = tool.main(["--quick", "--out", str(out), "--check", baseline])
+        assert code == 1
+        assert "viterbi_decode" in capsys.readouterr().err
+        assert out.exists()  # --out is written before the gate decides
+
+    def test_passing_report_exits_zero_and_writes_out(
+        self, tool, monkeypatch, tmp_path, capsys
+    ):
+        self._stub_suite(tool, monkeypatch, 20.0)
+        out = tmp_path / "bench.json"
+        baseline = self._baseline(tmp_path / "baseline.json")
+        code = tool.main(["--quick", "--out", str(out), "--check", baseline])
+        stdout = capsys.readouterr().out
+        assert code == 0
+        assert "viterbi_decode" in stdout
+        assert "20.0x" in stdout
+        assert tool.load_trajectory_speedups(out) == {"viterbi_decode": 20.0}
+
+    def test_skip_env_exits_zero_without_running(
+        self, tool, monkeypatch, tmp_path, capsys
+    ):
+        calls = self._stub_suite(tool, monkeypatch, 1.1)
+        monkeypatch.setenv("REPRO_SKIP_BENCH", "1")
+        out = tmp_path / "bench.json"
+        baseline = self._baseline(tmp_path / "baseline.json")
+        code = tool.main(["--quick", "--out", str(out), "--check", baseline])
+        assert code == 0
+        assert calls == []
+        assert not out.exists()
+        assert "REPRO_SKIP_BENCH=1" in capsys.readouterr().out
+
+    def test_baseline_is_read_before_out_overwrites_it(
+        self, tool, monkeypatch, tmp_path
+    ):
+        self._stub_suite(tool, monkeypatch, 1.1)
+        path = self._baseline(tmp_path / "bench.json")
+        assert tool.main(["--quick", "--out", path, "--check", path]) == 1
+
+    def test_missing_baseline_exits_two_before_running(
+        self, tool, monkeypatch, tmp_path
+    ):
+        calls = self._stub_suite(tool, monkeypatch, 20.0)
+        missing = str(tmp_path / "absent.json")
+        with pytest.raises(SystemExit) as exited:
+            tool.main(["--quick", "--out", str(tmp_path / "b.json"), "--check", missing])
+        assert exited.value.code == 2
+        assert calls == []
 
 
 class TestReceiverTimingRobustness:

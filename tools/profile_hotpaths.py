@@ -1,31 +1,548 @@
 #!/usr/bin/env python
-"""Profile the vectorized hot paths and emit the perf-trajectory file.
+"""Hot-path microbenchmarks: the vectorized kernels against their loops.
 
-Runs the reference-vs-vectorized microbenchmarks from
-:mod:`repro.sim.profiling` (Viterbi, frame-chain TX, end-to-end batched
-link, Van Atta pattern), prints the speedup table, and writes
-``BENCH_hotpaths.json`` at the repo root — the perf-trajectory baseline
-CI uploads as an artifact so future performance PRs have numbers to
-compare against.
+Times each vectorized kernel against the implementation it replaced on
+identical inputs, prints the speedup table and writes the
+``BENCH_hotpaths.json`` perf-trajectory file.  The "before" sides are
+the original loops kept in ``tests/reference_kernels.py`` or
+production paths that still serve as references (the serial link
+chain, ``Tag.make_frame``, ``VanAttaArray.monostatic_gain``,
+``run_multi_ap``).  ``tests/test_hotpath_bench.py`` loosely asserts
+the headline speedups from the same harness.
 
 Usage::
 
-    PYTHONPATH=src python tools/profile_hotpaths.py            # full sizes
-    PYTHONPATH=src python tools/profile_hotpaths.py --quick    # CI sizes
-    PYTHONPATH=src python tools/profile_hotpaths.py --out /tmp/bench.json
+    python tools/profile_hotpaths.py                  # full sizes
+    python tools/profile_hotpaths.py --quick          # CI sizes
+    python tools/profile_hotpaths.py --out /tmp/bench.json
+    python tools/profile_hotpaths.py --quick --out /tmp/bench.json \\
+        --check BENCH_hotpaths.json                   # regression gate
+
+``--check BASELINE`` writes ``--out`` first, then exits 1 when any
+kernel's speedup falls below ``REGRESSION_FLOOR`` times its value in
+``BASELINE``.  ``REPRO_SKIP_BENCH=1`` turns the gate into a no-op that
+exits 0 without running the suite, for constrained runners.
+
+Timing method: one untimed warm-up call (builds the cached trellis /
+modulation tables and warms the allocator), then best-of-``repeats``
+wall-clock via :func:`time.perf_counter`.  Workloads are sized so the
+reference side runs long enough to dominate timer noise; ``--quick``
+shrinks them to CI scale (ratios get noisier but stay meaningful).
+
+The link entries:
+
+* ``multipath_apply`` — :meth:`MultipathChannel.apply` with the cached
+  tap grid and shared-FFT delay operator versus the original
+  per-``Signal`` chain;
+* ``link_end_to_end_fused`` / ``link_rician_end_to_end_fused`` — the
+  serial per-frame loop versus one fused ``simulate_point`` call that
+  takes the whole frame budget, with the simulator prebuilt.  Still
+  bit-exact, so Amdahl-bounded: the per-frame RNG draw order, the 1-D
+  sync correlation and the IIR/FIR filter passes are part of the
+  bit-exact contract and cannot be reassociated, and on the fading
+  chain both sides pay the same FFT delay operator and
+  fractional-delay phase ramps per frame.  The ratio is therefore far
+  below the interpreter-bound kernels above;
+* ``link_fast_tier`` — the serial loop versus the statistical fast
+  tier (:class:`repro.sim.fastlink.FastLinkSimulator`): single
+  precision, bulk RNG, batched FFT sync, quantised Rician taps, with
+  numba kernels when available and logged pure-numpy fallbacks when
+  not.  This is where the order-of-magnitude ratio lives; acceptance
+  is the Wilson-CI statistical-equivalence suite, not byte equality.
+  The ``environment`` block of the trajectory JSON records whether
+  numba was active (version or ``"absent"``) so ratios from different
+  machines are comparable.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import os
+import platform
 import sys
+import time
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any, Callable
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+# The package from src/, the reference loops from the tests package.
+sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT)]
 
-from repro.sim.profiling import run_hotpath_benchmarks, write_trajectory  # noqa: E402
+import numpy as np  # noqa: E402
+
+from repro.channel.multipath import rician_channel  # noqa: E402
+from repro.core.convolutional import K7_CODE  # noqa: E402
+from repro.core.link import LinkConfig, simulate_link  # noqa: E402
+from repro.core.tag import Tag  # noqa: E402
+from repro.dsp.signal import Signal  # noqa: E402
+from repro.em.vanatta import VanAttaArray  # noqa: E402
+from repro.net.deployment import MultiAPConfig, run_multi_ap  # noqa: E402
+from repro.net.shard import run_multi_ap_sharded  # noqa: E402
+from repro.sim.batch import BatchLinkSimulator  # noqa: E402
+from repro.sim.executor import SweepExecutor  # noqa: E402
+from repro.sim.fastlink import FastLinkSimulator  # noqa: E402
+from repro.sim.jit import numba_status  # noqa: E402
 from repro.sim.results import ResultTable  # noqa: E402
+from tests.reference_kernels import (  # noqa: E402
+    multipath_apply_reference,
+    viterbi_reference_hard,
+)
+
+#: Bump when the JSON layout of ``BENCH_hotpaths.json`` changes.
+TRAJECTORY_SCHEMA_VERSION = 1
+
+
+def _best_of(fn: Callable[[], Any], repeats: int) -> float:
+    """Best wall-clock of ``repeats`` timed calls (after one warm-up)."""
+    fn()  # warm-up: populate lru_caches, fault pages, settle the allocator
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+@dataclass(frozen=True)
+class KernelBench:
+    """One reference-vs-vectorized timing pair."""
+
+    name: str
+    description: str
+    reference_s: float
+    vectorized_s: float
+    repeats: int
+    params: dict = field(default_factory=dict)
+
+    @property
+    def speedup(self) -> float:
+        """Reference time over vectorized time (>1 means faster)."""
+        if self.vectorized_s <= 0.0:
+            return float("inf")
+        return self.reference_s / self.vectorized_s
+
+    def to_dict(self) -> dict:
+        return {
+            "name": self.name,
+            "description": self.description,
+            "reference_s": self.reference_s,
+            "vectorized_s": self.vectorized_s,
+            "speedup": round(self.speedup, 2),
+            "repeats": self.repeats,
+            "params": self.params,
+        }
+
+
+@dataclass(frozen=True)
+class BenchReport:
+    """A full microbenchmark run plus the environment it ran in."""
+
+    benchmarks: tuple[KernelBench, ...]
+    quick: bool
+    generated: str
+
+    def by_name(self) -> dict[str, KernelBench]:
+        return {bench.name: bench for bench in self.benchmarks}
+
+    def to_dict(self) -> dict:
+        return {
+            "schema": TRAJECTORY_SCHEMA_VERSION,
+            "generated": self.generated,
+            "quick": self.quick,
+            "environment": {
+                "python": sys.version.split()[0],
+                "numpy": np.__version__,
+                "numba": numba_status(),
+                "machine": platform.machine(),
+                "cpu_count": os.cpu_count(),
+            },
+            "benchmarks": [bench.to_dict() for bench in self.benchmarks],
+        }
+
+
+# -- individual kernels -------------------------------------------------------
+
+
+def _bench_viterbi(quick: bool) -> KernelBench:
+    """K=7 rate-1/2 Viterbi: nested state loop vs array-wide update."""
+    num_bits = 300 if quick else 1500
+    repeats = 2 if quick else 3
+    rng = np.random.default_rng(7)
+    message = rng.integers(0, 2, size=num_bits).astype(np.int8)
+    coded = K7_CODE.encode(message)
+    # flip a few bits so the decoder does real error-correction work
+    flips = rng.choice(coded.size, size=max(1, coded.size // 200), replace=False)
+    coded[flips] ^= 1
+
+    reference_s = _best_of(lambda: viterbi_reference_hard(K7_CODE, coded), repeats)
+    vectorized_s = _best_of(lambda: K7_CODE.decode_hard(coded), repeats)
+    return KernelBench(
+        name="viterbi_decode",
+        description="K=7 rate-1/2 hard-decision Viterbi decode",
+        reference_s=reference_s,
+        vectorized_s=vectorized_s,
+        repeats=repeats,
+        params={"message_bits": num_bits, "constraint_length": 7},
+    )
+
+
+def _bench_frame_tx(quick: bool) -> KernelBench:
+    """Frame-chain TX synthesis: Tag loops vs CRC-table + LUT batch."""
+    num_frames = 4 if quick else 12
+    num_bits = 2048
+    repeats = 2 if quick else 3
+    config = LinkConfig()
+    simulator = BatchLinkSimulator(config, num_payload_bits=num_bits)
+    tag = Tag(config.tag)
+    theta = config.incidence_angle_rad
+    rng = np.random.default_rng(11)
+    payload = rng.integers(0, 2, size=(num_frames, num_bits)).astype(np.int8)
+
+    def reference() -> None:
+        for f in range(num_frames):
+            frame = tag.make_frame(payload[f])
+            tag.reflection_sequence(frame, theta)
+
+    reference_s = _best_of(reference, repeats)
+    vectorized_s = _best_of(lambda: simulator.tx_reflections(payload), repeats)
+    return KernelBench(
+        name="frame_chain_tx",
+        description="frame TX synthesis: bits -> CRC -> symbols -> reflections",
+        reference_s=reference_s,
+        vectorized_s=vectorized_s,
+        repeats=repeats,
+        params={"frames": num_frames, "payload_bits": num_bits, "modulation": "QPSK"},
+    )
+
+
+def _bench_multipath_apply(quick: bool) -> KernelBench:
+    """MultipathChannel.apply: per-call tap rebuild + per-path FFTs vs
+    the cached tap grid, shared forward FFTs, and the per-shape delay
+    plan (whole/frac decomposition + exp phase ramps hoisted out of the
+    per-call path — caching the plan on the instance raised this kernel
+    from ~1.2x to ~1.4x).
+
+    The "before" side is the original implementation,
+    ``tests.reference_kernels.multipath_apply_reference``.
+    """
+    # the win is moderate (~1.4x), so quick mode needs more repeats than
+    # the big-ratio kernels to keep measurement noise from straddling 1x
+    num_calls = 10 if quick else 20
+    num_samples = 8880  # one frame at 80 MHz, the hot-path length
+    repeats = 4 if quick else 3
+    rng = np.random.default_rng(17)
+    channel = rician_channel(6.0, 4, 30e-9, rng)
+    sig = Signal(
+        rng.standard_normal(num_samples) + 1j * rng.standard_normal(num_samples),
+        80e6,
+    )
+
+    def reference() -> None:
+        for _ in range(num_calls):
+            multipath_apply_reference(channel, sig)
+
+    def vectorized() -> None:
+        for _ in range(num_calls):
+            channel.apply(sig)
+
+    reference_s = _best_of(reference, repeats)
+    vectorized_s = _best_of(vectorized, repeats)
+    return KernelBench(
+        name="multipath_apply",
+        description=(
+            "tapped-delay-line apply: per-call tap rebuild vs cached grid "
+            "+ shared-FFT delay operator"
+        ),
+        reference_s=reference_s,
+        vectorized_s=vectorized_s,
+        repeats=repeats,
+        params={"calls": num_calls, "samples": num_samples, "paths": 5},
+    )
+
+
+def _bench_link_end_to_end_fused(quick: bool) -> KernelBench:
+    """Whole-budget fused program vs the per-frame serial loop.
+
+    One ``simulate_point`` call takes the entire frame budget (the
+    ``backend="fused"`` estimator path).  Bit-exact, therefore
+    Amdahl-bounded: the serial-order RNG pass, the per-row sync
+    correlation and the IIR/FIR filter passes are contractually shared
+    with the reference — report the ratio honestly rather than
+    cherry-picking.
+    """
+    num_frames = 4 if quick else 12
+    num_bits = 2048
+    repeats = 1 if quick else 2
+    config = LinkConfig()
+    simulator = BatchLinkSimulator(config, num_payload_bits=num_bits)
+
+    def reference() -> None:
+        rng = np.random.default_rng(3)
+        for _ in range(num_frames):
+            simulate_link(config, num_payload_bits=num_bits, rng=rng)
+
+    def fused() -> None:
+        rng = np.random.default_rng(3)
+        simulator.simulate_point(
+            rng, errors_needed=1 << 30, max_frames=num_frames
+        )
+
+    reference_s = _best_of(reference, repeats)
+    vectorized_s = _best_of(fused, repeats)
+    return KernelBench(
+        name="link_end_to_end_fused",
+        description=(
+            "whole-budget fused sweep point (bit-exact, frame-exact early "
+            "exit) vs per-frame serial loop; ratio is bit-exactness-bounded"
+        ),
+        reference_s=reference_s,
+        vectorized_s=vectorized_s,
+        repeats=repeats,
+        params={"frames": num_frames, "payload_bits": num_bits},
+    )
+
+
+def _bench_link_rician_end_to_end_fused(quick: bool) -> KernelBench:
+    """Fused whole-budget program on the fading chain, same caveats."""
+    num_frames = 4 if quick else 12
+    num_bits = 2048
+    repeats = 1 if quick else 2
+    config = LinkConfig(rician_k_db=6.0)
+    simulator = BatchLinkSimulator(config, num_payload_bits=num_bits)
+
+    def reference() -> None:
+        rng = np.random.default_rng(3)
+        for _ in range(num_frames):
+            simulate_link(config, num_payload_bits=num_bits, rng=rng)
+
+    def fused() -> None:
+        rng = np.random.default_rng(3)
+        simulator.simulate_point(
+            rng, errors_needed=1 << 30, max_frames=num_frames
+        )
+
+    reference_s = _best_of(reference, repeats)
+    vectorized_s = _best_of(fused, repeats)
+    return KernelBench(
+        name="link_rician_end_to_end_fused",
+        description=(
+            "whole-budget fused fading sweep point (Rician K=6 dB) vs "
+            "per-frame serial loop; bit-exactness-bounded ratio"
+        ),
+        reference_s=reference_s,
+        vectorized_s=vectorized_s,
+        repeats=repeats,
+        params={"frames": num_frames, "payload_bits": num_bits, "rician_k_db": 6.0},
+    )
+
+
+def _bench_link_fast_tier(quick: bool) -> KernelBench:
+    """Statistical fast tier vs the per-frame serial loop.
+
+    Not bit-exact (single precision, bulk RNG, FFT sync, quantised
+    Rician taps) — equivalence is pinned statistically by
+    ``tests/test_fast_tier.py``.  The trajectory JSON's environment
+    block records whether numba compiled the inner kernels or the
+    logged pure-numpy fallbacks ran.
+    """
+    num_frames = 6 if quick else 16
+    num_bits = 2048
+    repeats = 1 if quick else 2
+    config = LinkConfig(rician_k_db=6.0)
+    simulator = FastLinkSimulator(config, num_payload_bits=num_bits)
+
+    def reference() -> None:
+        rng = np.random.default_rng(3)
+        for _ in range(num_frames):
+            simulate_link(config, num_payload_bits=num_bits, rng=rng)
+
+    def fast() -> None:
+        rng = np.random.default_rng(3)
+        simulator.simulate_point(
+            rng, errors_needed=1 << 30, max_frames=num_frames
+        )
+
+    reference_s = _best_of(reference, repeats)
+    vectorized_s = _best_of(fast, repeats)
+    return KernelBench(
+        name="link_fast_tier",
+        description=(
+            "compiled/statistical fast tier (complex64, bulk RNG, FFT sync, "
+            f"numba {numba_status()}) vs per-frame serial loop on the "
+            "Rician chain; statistical-equivalence contract, not bit-exact"
+        ),
+        reference_s=reference_s,
+        vectorized_s=vectorized_s,
+        repeats=repeats,
+        params={
+            "frames": num_frames,
+            "payload_bits": num_bits,
+            "rician_k_db": 6.0,
+            "numba": numba_status(),
+        },
+    )
+
+
+def _bench_netsim_event_engine(quick: bool) -> KernelBench:
+    """Metro MAC at scale: serial engine vs sharded plan/execute/replay.
+
+    Both engines produce byte-identical reports (pinned by
+    tests/test_net_shard.py); only the wall clock differs.  The sharded
+    path runs here on a serial-backend coordinator — one process — so
+    the measured ratio is (hot-path savings from the draw-free planner
+    + O(records) replay) net of the coordination overhead, which lands
+    near 0.7x.  The multi-core speedup from fanning the shard-epochs over
+    a process pool is E22's claim, not this kernel's: a pool ratio on a
+    1-CPU runner would measure fork overhead, not the engine.
+    """
+    num_tags = 50_000 if quick else 200_000
+    num_slots = 300 if quick else 800
+    repeats = 2
+    config = MultiAPConfig(
+        num_tags=num_tags,
+        num_slots=num_slots,
+        epoch_slots=num_slots,
+        grid_rows=3,
+        grid_cols=3,
+        ap_spacing_m=8.0,
+    )
+
+    reference_s = _best_of(lambda: run_multi_ap(config, seed=0), repeats)
+    vectorized_s = _best_of(
+        lambda: run_multi_ap_sharded(
+            config, seed=0, shards=3, executor=SweepExecutor("serial")
+        ),
+        repeats,
+    )
+    events = run_multi_ap(config, seed=0).events_processed
+    return KernelBench(
+        name="netsim_event_engine",
+        description=(
+            f"{num_tags}-tag 3x3-AP metro MAC: serial engine vs sharded "
+            "plan/execute/replay on a single-process coordinator "
+            "(byte-identical output; multi-core pool speedup is E22)"
+        ),
+        reference_s=reference_s,
+        vectorized_s=vectorized_s,
+        repeats=repeats,
+        params={
+            "num_tags": num_tags,
+            "num_slots": num_slots,
+            "shards": 3,
+            "events_processed": events,
+            "serial_events_per_s": round(events / reference_s, 1),
+            "sharded_events_per_s": round(events / vectorized_s, 1),
+        },
+    )
+
+
+def _bench_vanatta(quick: bool) -> KernelBench:
+    """Van Atta monostatic pattern: per-angle loop vs broadcast grid."""
+    num_angles = 361 if quick else 1441
+    repeats = 2 if quick else 3
+    array = VanAttaArray(num_pairs=8)
+    grid = np.linspace(-np.pi / 2, np.pi / 2, num_angles)
+
+    def reference() -> None:
+        for theta in grid:
+            array.monostatic_gain(float(theta))
+
+    reference_s = _best_of(reference, repeats)
+    vectorized_s = _best_of(lambda: array.monostatic_gain_pattern(grid), repeats)
+    return KernelBench(
+        name="vanatta_pattern",
+        description="Van Atta monostatic gain across an incidence-angle grid",
+        reference_s=reference_s,
+        vectorized_s=vectorized_s,
+        repeats=repeats,
+        params={"angles": num_angles, "num_pairs": 8},
+    )
+
+
+_BENCHES = (
+    _bench_viterbi,
+    _bench_frame_tx,
+    _bench_multipath_apply,
+    _bench_link_end_to_end_fused,
+    _bench_link_rician_end_to_end_fused,
+    _bench_link_fast_tier,
+    _bench_netsim_event_engine,
+    _bench_vanatta,
+)
+
+
+def run_hotpath_benchmarks(quick: bool = False) -> BenchReport:
+    """Time every hot-path kernel pair; returns the full report."""
+    generated = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    benches = tuple(bench(quick) for bench in _BENCHES)
+    return BenchReport(benchmarks=benches, quick=quick, generated=generated)
+
+
+def write_trajectory(report: BenchReport, path: str | os.PathLike) -> Path:
+    """Write ``report`` as the ``BENCH_hotpaths.json`` trajectory file."""
+    target = Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8")
+    return target
+
+
+# -- regression gate ----------------------------------------------------------
+
+#: A measured speedup below ``floor * recorded`` fails the CI gate.  The
+#: 0.6 slack absorbs quick-mode noise and runner-to-runner variance
+#: while still catching the failure mode that matters: a kernel quietly
+#: rerouted back through its Python reference loop collapses to ~1x,
+#: which is far below 0.6x of any recorded ratio.
+REGRESSION_FLOOR = 0.6
+
+
+def load_trajectory_speedups(path: str | os.PathLike) -> dict[str, float]:
+    """The recorded ``{kernel: speedup}`` map of a trajectory file."""
+    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    return {
+        bench["name"]: float(bench["speedup"])
+        for bench in payload.get("benchmarks", [])
+    }
+
+
+def check_regression(
+    report: BenchReport,
+    baseline: str | os.PathLike | dict[str, float],
+    floor: float = REGRESSION_FLOOR,
+) -> list[str]:
+    """Compare ``report`` against a committed trajectory baseline.
+
+    Returns one human-readable failure line per kernel whose measured
+    speedup fell below ``floor`` times its recorded value — and per
+    baseline kernel missing from the run entirely (a silently dropped
+    benchmark must not pass the gate).  An empty list means the gate
+    passes.  Kernels present in the run but absent from the baseline
+    are ignored (new benches land before their baseline is committed).
+    """
+    if not 0.0 < floor <= 1.0:
+        raise ValueError(f"floor must be in (0, 1], got {floor}")
+    recorded = (
+        dict(baseline)
+        if isinstance(baseline, dict)
+        else load_trajectory_speedups(baseline)
+    )
+    measured = {name: bench.speedup for name, bench in report.by_name().items()}
+    failures = []
+    for name in sorted(recorded):
+        if name not in measured:
+            failures.append(
+                f"{name}: recorded in the baseline but missing from this run"
+            )
+            continue
+        threshold = floor * recorded[name]
+        if measured[name] < threshold:
+            failures.append(
+                f"{name}: measured {measured[name]:.2f}x < {floor:.2f} * "
+                f"recorded {recorded[name]:.2f}x (= {threshold:.2f}x)"
+            )
+    return failures
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -38,7 +555,24 @@ def main(argv: list[str] | None = None) -> int:
         "--out", default=str(REPO_ROOT / "BENCH_hotpaths.json"),
         help="trajectory JSON path (default: BENCH_hotpaths.json at repo root)",
     )
+    parser.add_argument(
+        "--check", default=None, metavar="BASELINE",
+        help=f"regression gate: exit 1 if any kernel's speedup falls below "
+             f"{REGRESSION_FLOOR}x of its value recorded in the BASELINE "
+             f"trajectory JSON (skipped when REPRO_SKIP_BENCH=1)",
+    )
     args = parser.parse_args(argv)
+
+    if args.check is not None:
+        if os.environ.get("REPRO_SKIP_BENCH") == "1":
+            print("REPRO_SKIP_BENCH=1: skipping the bench regression gate")
+            return 0
+        # Read the baseline before --out is written: the two may name
+        # the same file.
+        try:
+            recorded = load_trajectory_speedups(args.check)
+        except (OSError, ValueError) as exc:
+            parser.error(f"--check: cannot read {args.check}: {exc}")
 
     report = run_hotpath_benchmarks(quick=args.quick)
     table = ResultTable(
@@ -56,6 +590,23 @@ def main(argv: list[str] | None = None) -> int:
 
     path = write_trajectory(report, args.out)
     print(f"\nperf trajectory written to {path}")
+    if args.check is None:
+        return 0
+
+    failures = check_regression(report, recorded)
+    if failures:
+        print(
+            f"\nbench regression gate FAILED "
+            f"(floor: {REGRESSION_FLOOR:.1f}x of recorded):",
+            file=sys.stderr,
+        )
+        for line in failures:
+            print(f"  {line}", file=sys.stderr)
+        return 1
+    print(
+        f"\nbench regression gate passed: every kernel within "
+        f"{REGRESSION_FLOOR:.1f}x of {args.check}"
+    )
     return 0
 
 
