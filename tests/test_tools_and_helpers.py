@@ -1,6 +1,7 @@
 """Tests for tools/generate_api_docs.py and small helper functions."""
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -48,16 +49,26 @@ class TestApiDocGenerator:
         ):
             assert marker in text, marker
 
-    def test_generator_cli_writes_file(self):
+    def test_generator_cli_writes_file(self, tmp_path):
+        # Run a copy of the tool: its OUTPUT resolves under tmp_path, so
+        # the committed docs/API.md is never rewritten and the staleness
+        # check below still compares it with a fresh render.
+        (tmp_path / "tools").mkdir()
+        tool = shutil.copy(
+            REPO_ROOT / "tools" / "generate_api_docs.py", tmp_path / "tools"
+        )
         result = subprocess.run(
-            [sys.executable, str(REPO_ROOT / "tools" / "generate_api_docs.py")],
+            [sys.executable, str(tool)],
             capture_output=True,
             text=True,
             cwd=REPO_ROOT,
         )
-        assert result.returncode == 0
+        assert result.returncode == 0, result.stderr
         assert "wrote" in result.stdout
-        assert (REPO_ROOT / "docs" / "API.md").exists()
+        written = (tmp_path / "docs" / "API.md").read_text()
+        assert written == (REPO_ROOT / "docs" / "API.md").read_text(), (
+            "docs/API.md is stale; run python tools/generate_api_docs.py"
+        )
 
     def test_committed_doc_is_current(self):
         sys.path.insert(0, str(REPO_ROOT / "tools"))
