@@ -23,11 +23,16 @@ kernel's speedup falls below ``REGRESSION_FLOOR`` times its value in
 ``BASELINE``.  ``REPRO_SKIP_BENCH=1`` turns the gate into a no-op that
 exits 0 without running the suite, for constrained runners.
 
-Timing method: one untimed warm-up call (builds the cached trellis /
-modulation tables and warms the allocator), then best-of-``repeats``
-wall-clock via :func:`time.perf_counter`.  Workloads are sized so the
-reference side runs long enough to dominate timer noise; ``--quick``
-shrinks them to CI scale (ratios get noisier but stay meaningful).
+Timing method: ``repeats`` rounds, each timing two back-to-back calls
+of the reference and then two of the vectorized side via
+:func:`time.perf_counter`, keeping each side's best.  The first call
+of a side in a round warms what the other side left cold (the first
+round's also builds the cached trellis / modulation tables); the
+second is the warm time.  Interleaving the sides round by round means
+a slow phase of the machine lands on both rather than on one.
+Workloads are sized so the reference side runs long enough to dominate
+timer noise; ``--quick`` shrinks them to CI scale (ratios get noisier
+but stay meaningful).
 
 The link entries:
 
@@ -94,15 +99,24 @@ from tests.reference_kernels import (  # noqa: E402
 TRAJECTORY_SCHEMA_VERSION = 1
 
 
-def _best_of(fn: Callable[[], Any], repeats: int) -> float:
-    """Best wall-clock of ``repeats`` timed calls (after one warm-up)."""
-    fn()  # warm-up: populate lru_caches, fault pages, settle the allocator
-    best = float("inf")
+def _best_of_pair(
+    reference: Callable[[], Any], vectorized: Callable[[], Any], repeats: int
+) -> tuple[float, float]:
+    """Best wall-clock of each side over ``repeats`` interleaved rounds.
+
+    Every round times two back-to-back calls of ``reference``, then two
+    of ``vectorized``.  A side's first call in a round starts on the
+    caches and allocator state the other side left behind (and, in the
+    first round, fills the lru_caches); its second call is the warm time.
+    """
+    best = [float("inf"), float("inf")]
     for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+        for side, fn in enumerate((reference, vectorized)):
+            for _ in range(2):
+                start = time.perf_counter()
+                fn()
+                best[side] = min(best[side], time.perf_counter() - start)
+    return best[0], best[1]
 
 
 @dataclass(frozen=True)
@@ -176,8 +190,11 @@ def _bench_viterbi(quick: bool) -> KernelBench:
     flips = rng.choice(coded.size, size=max(1, coded.size // 200), replace=False)
     coded[flips] ^= 1
 
-    reference_s = _best_of(lambda: viterbi_reference_hard(K7_CODE, coded), repeats)
-    vectorized_s = _best_of(lambda: K7_CODE.decode_hard(coded), repeats)
+    reference_s, vectorized_s = _best_of_pair(
+        lambda: viterbi_reference_hard(K7_CODE, coded),
+        lambda: K7_CODE.decode_hard(coded),
+        repeats,
+    )
     return KernelBench(
         name="viterbi_decode",
         description="K=7 rate-1/2 hard-decision Viterbi decode",
@@ -205,8 +222,9 @@ def _bench_frame_tx(quick: bool) -> KernelBench:
             frame = tag.make_frame(payload[f])
             tag.reflection_sequence(frame, theta)
 
-    reference_s = _best_of(reference, repeats)
-    vectorized_s = _best_of(lambda: simulator.tx_reflections(payload), repeats)
+    reference_s, vectorized_s = _best_of_pair(
+        reference, lambda: simulator.tx_reflections(payload), repeats
+    )
     return KernelBench(
         name="frame_chain_tx",
         description="frame TX synthesis: bits -> CRC -> symbols -> reflections",
@@ -247,8 +265,7 @@ def _bench_multipath_apply(quick: bool) -> KernelBench:
         for _ in range(num_calls):
             channel.apply(sig)
 
-    reference_s = _best_of(reference, repeats)
-    vectorized_s = _best_of(vectorized, repeats)
+    reference_s, vectorized_s = _best_of_pair(reference, vectorized, repeats)
     return KernelBench(
         name="multipath_apply",
         description=(
@@ -289,8 +306,7 @@ def _bench_link_end_to_end_fused(quick: bool) -> KernelBench:
             rng, errors_needed=1 << 30, max_frames=num_frames
         )
 
-    reference_s = _best_of(reference, repeats)
-    vectorized_s = _best_of(fused, repeats)
+    reference_s, vectorized_s = _best_of_pair(reference, fused, repeats)
     return KernelBench(
         name="link_end_to_end_fused",
         description=(
@@ -323,8 +339,7 @@ def _bench_link_rician_end_to_end_fused(quick: bool) -> KernelBench:
             rng, errors_needed=1 << 30, max_frames=num_frames
         )
 
-    reference_s = _best_of(reference, repeats)
-    vectorized_s = _best_of(fused, repeats)
+    reference_s, vectorized_s = _best_of_pair(reference, fused, repeats)
     return KernelBench(
         name="link_rician_end_to_end_fused",
         description=(
@@ -364,8 +379,7 @@ def _bench_link_fast_tier(quick: bool) -> KernelBench:
             rng, errors_needed=1 << 30, max_frames=num_frames
         )
 
-    reference_s = _best_of(reference, repeats)
-    vectorized_s = _best_of(fast, repeats)
+    reference_s, vectorized_s = _best_of_pair(reference, fast, repeats)
     return KernelBench(
         name="link_fast_tier",
         description=(
@@ -409,8 +423,8 @@ def _bench_netsim_event_engine(quick: bool) -> KernelBench:
         ap_spacing_m=8.0,
     )
 
-    reference_s = _best_of(lambda: run_multi_ap(config, seed=0), repeats)
-    vectorized_s = _best_of(
+    reference_s, vectorized_s = _best_of_pair(
+        lambda: run_multi_ap(config, seed=0),
         lambda: run_multi_ap_sharded(
             config, seed=0, shards=3, executor=SweepExecutor("serial")
         ),
@@ -449,8 +463,9 @@ def _bench_vanatta(quick: bool) -> KernelBench:
         for theta in grid:
             array.monostatic_gain(float(theta))
 
-    reference_s = _best_of(reference, repeats)
-    vectorized_s = _best_of(lambda: array.monostatic_gain_pattern(grid), repeats)
+    reference_s, vectorized_s = _best_of_pair(
+        reference, lambda: array.monostatic_gain_pattern(grid), repeats
+    )
     return KernelBench(
         name="vanatta_pattern",
         description="Van Atta monostatic gain across an incidence-angle grid",
