@@ -277,10 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="maximum tag-to-tag hop distance [m]")
     metro.add_argument("--relay-hops", type=int, default=3,
                        help="maximum relay hop count")
-    metro.add_argument("--shards", type=int, default=0,
-                       help="run the metro MAC sharded over N worker "
-                            "processes (byte-identical to serial; "
-                            "0/1 = serial engine)")
     netsim.add_argument("--sweep-tags", default=None, metavar="N1,N2,...",
                         help="sweep population sizes under the sweep "
                              "executor (cache/retries compose)")
@@ -381,7 +377,6 @@ _EXPERIMENT_INDEX = [
     ("E19", "fault tolerance: chaos sweep + ARQ under blockage", "test_e19_fault_tolerance"),
     ("E20", "network scale: MAC goodput/latency/fairness at 10k tags", "test_e20_network_scale"),
     ("E21", "metro scale: multi-AP roaming, handoff, relaying", "test_e21_metro_deployment"),
-    ("E22", "sharded engine: million-tag runs, byte-identical", "test_e22_shard_scaling"),
     ("E23", "live AP service: overload shedding + bounded memory", "test_e23_live_service"),
     ("E24", "scenario zoo: backoff shootout, mobile reader, AoA/range sensing", "test_e24_scenario_zoo"),
 ]
@@ -701,34 +696,10 @@ def _cmd_netsim_metro(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(str(error), file=sys.stderr)
         return 2
-    if args.shards < 0:
-        print("--shards must be >= 0", file=sys.stderr)
-        return 2
     if args.sweep_tags is None:
-        if args.shards >= 2:
-            from repro.net.shard import run_multi_ap_sharded
-
-            executor = SweepExecutor("process", max_workers=args.workers)
-            try:
-                report = run_multi_ap_sharded(
-                    config,
-                    seed=args.seed,
-                    shards=args.shards,
-                    trace_path=args.trace,
-                    executor=executor,
-                    strategy=args.strategy,
-                )
-            except ValueError as error:
-                # The sharded engine only replays the default adaptive
-                # draw pattern; a non-default strategy is rejected
-                # loudly rather than silently diverging from serial.
-                print(str(error), file=sys.stderr)
-                return 2
-            print(f"engine              : sharded x{args.shards}")
-        else:
-            report = run_multi_ap(config, seed=args.seed,
-                                  trace_path=args.trace,
-                                  strategy=args.strategy)
+        report = run_multi_ap(config, seed=args.seed,
+                              trace_path=args.trace,
+                              strategy=args.strategy)
         print(report.summary())
         if args.trace is not None:
             print(f"event trace         : {args.trace}")
@@ -752,7 +723,7 @@ def _cmd_netsim_metro(args: argparse.Namespace) -> int:
     executor = SweepExecutor(args.backend, max_workers=args.workers, cache=cache)
     sweep = executor.run(
         populations,
-        MultiAPTask(config=config, param="num_tags", shards=args.shards),
+        MultiAPTask(config=config, param="num_tags"),
         seed=args.seed,
     )
     table = ResultTable(
@@ -786,7 +757,6 @@ def _cmd_netsim_reader(args: argparse.Namespace) -> int:
     """The mobile-reader branch of ``repro netsim``."""
     for flag, given in (("--grid", args.grid is not None),
                         ("--sweep-tags", args.sweep_tags is not None),
-                        ("--shards", bool(args.shards)),
                         ("--protocol", args.protocol != "aloha")):
         if given:
             print(f"--reader-trajectory is a single-AP ALOHA scenario; "
@@ -841,9 +811,6 @@ def _cmd_netsim(args: argparse.Namespace) -> int:
         return _cmd_netsim_reader(args)
     if args.grid is not None:
         return _cmd_netsim_metro(args)
-    if args.shards:
-        print("--shards needs a metro deployment (--grid)", file=sys.stderr)
-        return 2
     try:
         config = _netsim_config(
             args,

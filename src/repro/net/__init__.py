@@ -21,9 +21,6 @@ Layers, bottom up:
 * :mod:`repro.net.deployment` — metro-scale multi-AP grids with
   roaming, hysteresis handoff and tag-to-tag relaying
   (:func:`~repro.net.deployment.run_multi_ap`);
-* :mod:`repro.net.shard` — the same metro simulation sharded across
-  worker processes, byte-identical to serial
-  (:func:`~repro.net.shard.run_multi_ap_sharded`);
 * :mod:`repro.net.task` — the :class:`~repro.net.task.NetSimTask` /
   :class:`~repro.net.task.MultiAPTask` adapters that run populations
   of simulations under :class:`~repro.sim.executor.SweepExecutor`;
@@ -62,7 +59,6 @@ from repro.net.mac import (
     SpotCheckProcess,
 )
 from repro.net.population import TagPopulation, jain_fairness
-from repro.net.shard import ShardEpochTask, run_multi_ap_sharded
 from repro.net.sim import (
     NETSIM_REPORT_SCHEMA,
     PROTOCOLS,
@@ -94,8 +90,6 @@ __all__ = [
     "MultiAPConfig",
     "MultiAPReport",
     "run_multi_ap",
-    "ShardEpochTask",
-    "run_multi_ap_sharded",
     "EventHandle",
     "EventTrace",
     "Process",

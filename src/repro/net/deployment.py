@@ -26,8 +26,8 @@ two contracts intact:
   order.  Association and relay never draw — handoff and routing are
   pure functions of geometry — so toggling them cannot shift any
   stream by construction, and because each AP draws only from its own
-  stream, a sharded run (:mod:`repro.net.shard`) that executes APs on
-  different workers reproduces the serial draw sequence exactly.
+  stream, one cell's draw sequence never depends on another cell's
+  backlog.
 
 Physics, by layer:
 
@@ -379,12 +379,10 @@ class Deployment:
         return rise
 
 
-# -- shared epoch-cadence kernels ---------------------------------------------
+# -- epoch-cadence kernels ----------------------------------------------------
 #
-# The serial processes below and the sharded coordinator in
-# :mod:`repro.net.shard` must make *identical* draws and decisions, so
-# the deployment draw sequence and the draw-free route/link
-# computations live here as module-level functions both engines call.
+# The deployment draw sequence and the draw-free route/link
+# computations that the epoch processes below run once per epoch.
 
 
 def draw_deployment(
@@ -950,18 +948,14 @@ class MultiApAlohaMac(MacProcess):
     Every AP draws from its **own** RNG stream (``ap_rngs``, assigned
     by :func:`_build_metro` in ascending AP-id order right after
     process registration).  Per-AP streams make the draw sequence of
-    one cell independent of every other cell's backlog, which is what
-    lets :mod:`repro.net.shard` run disjoint AP sets on different
-    worker processes and still reproduce the serial run bit for bit.
+    one cell independent of every other cell's backlog.
 
     ``strategy`` swaps the per-cell arbitration rule for a
     :class:`~repro.net.scenario.backoff.BackoffStrategy` — the same
     draw-count-stable slot :class:`~repro.net.mac.SlottedAlohaMac`
     carries (one uniform per contender per AP activation, from that
     AP's stream).  Window state is per tag, so a tag keeps its backoff
-    history across handoffs.  The sharded engine supports only the
-    default rule and rejects anything else loudly
-    (:func:`repro.net.shard.run_multi_ap_sharded`).
+    history across handoffs.
     """
 
     def __init__(
@@ -1032,8 +1026,7 @@ class MultiApAlohaMac(MacProcess):
                 # tag leaves a cell at most once (reads are permanent; a
                 # tag has at most one handoff commit per epoch) and joins
                 # none until the next rebuild, so a dropped id can never
-                # pass this filter again.  repro.net.shard relies on the
-                # same invariant.
+                # pass this filter again.
                 dirty.discard(ap)
                 keep = pop.mac_ap[ids] == ap
                 if not self.persistent:
@@ -1232,19 +1225,13 @@ def _build_metro(
     sim: Simulator,
     config: MultiAPConfig,
     *,
-    mac_cls: type[MultiApAlohaMac] = MultiApAlohaMac,
-    assoc_cls: type[AssociationProcess] = AssociationProcess,
     strategy=None,
 ) -> _MetroParts:
     """Register the metro process stack on ``sim`` (nothing runs yet).
 
-    Shared between the serial reference (:func:`run_multi_ap`) and the
-    sharded planner/replay engines (:mod:`repro.net.shard`), so all
-    three consume the root seed sequence identically: five process
+    Consumes the root seed sequence in a fixed order: five process
     streams in registration order, then one stream per AP in ascending
-    AP-id order for the MAC.  ``mac_cls`` / ``assoc_cls`` let the
-    sharded engines substitute recording/replaying subclasses without
-    perturbing that contract.
+    AP-id order for the MAC.
     """
     deployment = Deployment(config)
     slot_s = deployment.slot_s
@@ -1262,7 +1249,7 @@ def _build_metro(
         )
     )
     assoc = sim.add_process(
-        assoc_cls(
+        AssociationProcess(
             population,
             deployment,
             shared,
@@ -1289,7 +1276,7 @@ def _build_metro(
         )
     )
     mac = sim.add_process(
-        mac_cls(
+        MultiApAlohaMac(
             population,
             blockage,
             deployment,
@@ -1414,16 +1401,13 @@ def run_multi_ap(
 
     ``trace_path``, when given, dumps the event-trace ring (JSONL with
     a digest header) after the run — the artifact CI uploads when a
-    determinism check fails.  :func:`repro.net.shard.run_multi_ap_sharded`
-    produces a byte-identical report and trace digest by running the
-    same process stack sharded across worker processes.
+    determinism check fails.
 
     ``strategy`` (registry name or fresh instance; see
     :mod:`repro.net.scenario.backoff`) swaps the per-cell backoff rule.
     A keyword, not a config field, so default-path report pickles stay
     byte-identical; ``None``/``"adaptive-p"`` reproduce the seed run
-    bit for bit.  Only the default strategy is shardable — the sharded
-    engine rejects others loudly.
+    bit for bit.
     """
     # Late import: scenario builds on this module (no import cycle).
     from repro.net.scenario.backoff import AdaptivePStrategy, resolve_strategy

@@ -502,21 +502,15 @@ class Simulator:
         """
         return np.random.default_rng(self.entropy.spawn(1)[0])
 
-    def add_process(
-        self, process: Process, rng: np.random.Generator | None = None
-    ) -> Process:
+    def add_process(self, process: Process) -> Process:
         """Register ``process``, assigning its RNG stream; returns it.
 
-        By default the stream is spawned from the root seed sequence in
-        registration order.  Pass ``rng`` to bring an externally-owned
-        generator instead — the sharded metro coordinator hands each
-        shard worker mid-run per-AP generator states, and binding them
-        directly keeps the worker's registration from consuming a spawn
-        slot (which would tie the draw sequence to the shard layout).
+        The stream is spawned from the root seed sequence in
+        registration order.
         """
         if process.name in self.processes:
             raise ValueError(f"duplicate process name {process.name!r}")
-        process.bind(self, rng if rng is not None else self.spawn_stream())
+        process.bind(self, self.spawn_stream())
         self.processes[process.name] = process
         return process
 

@@ -157,10 +157,7 @@ class BlockageProcess(Process):
     In the single-AP stack it is registration slot 2 of 4
     (churn, **blockage**, mac, spotcheck); in the multi-AP metro stack
     it is slot 4 of the five process streams (mobility, assoc, relay,
-    **blockage**, mac) that precede the per-AP MAC streams — the layout
-    :data:`repro.net.shard._N_PROCESS_STREAMS` hard-codes so the
-    sharded engine can reconstruct the per-AP generators without
-    replaying the processes (see :mod:`repro.net.shard`).
+    **blockage**, mac) that precede the per-AP MAC streams.
     """
 
     def __init__(

@@ -125,19 +125,10 @@ class MultiAPTask(SweepTask):
     default; ``ap_spacing_m``, ``mobile_fraction``,
     ``handoff_hysteresis_db``, ... all work), integer fields are cast
     from float sweep values, and the cache key covers the full config.
-
-    ``shards >= 2`` routes each point through
-    :func:`~repro.net.shard.run_multi_ap_sharded` (with an in-process
-    serial coordinator — sweep points already parallelise across the
-    executor's pool, so nesting a second pool per point would
-    oversubscribe).  Sharded reports are byte-identical to serial, so
-    the cache key deliberately ignores ``shards`` — a cache warmed by
-    one engine is hit by the other.
     """
 
     config: MultiAPConfig
     param: str = "num_tags"
-    shards: int = 0
 
     def __post_init__(self) -> None:
         names = MultiAPConfig.field_names()
@@ -146,8 +137,6 @@ class MultiAPTask(SweepTask):
                 f"param {self.param!r} is not a MultiAPConfig field; "
                 f"choose from {sorted(names)}"
             )
-        if self.shards < 0:
-            raise ValueError(f"shards must be >= 0, got {self.shards}")
 
     def config_for(self, value: float) -> MultiAPConfig:
         """The operating point at one sweep value."""
@@ -157,20 +146,10 @@ class MultiAPTask(SweepTask):
         return replace(self.config, **{self.param: cast})
 
     def run(self, value: float, seed: np.random.SeedSequence) -> MultiAPReport:
-        if self.shards >= 2:
-            from repro.net.shard import run_multi_ap_sharded
-            from repro.sim.executor import SweepExecutor
-
-            return run_multi_ap_sharded(
-                self.config_for(value),
-                seed=seed,
-                shards=self.shards,
-                executor=SweepExecutor("serial"),
-            )
         return run_multi_ap(self.config_for(value), seed=seed)
 
     def cache_parts(self) -> dict[str, Any]:
-        return {"task": replace(self, shards=0)}
+        return {"task": self}
 
     def validate_metric(self, metric: object) -> None:
         _check_schema(metric, MULTI_AP_REPORT_SCHEMA, "MultiAPReport")

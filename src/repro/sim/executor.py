@@ -133,19 +133,6 @@ class SweepTask:
         of silently mispickling into the current shape.
         """
 
-    def narrow(self, value: float) -> "SweepTask":
-        """The slice of this task one point actually needs.
-
-        The process backend pickles the task once *per submitted
-        point*; a task carrying per-point payloads (the sharded metro
-        coordinator ships each shard's contender arrays and RNG
-        states) can override this to return a copy holding only
-        ``value``'s slice, so workers never deserialise the other
-        shards' data.  Must not change ``run(value, seed)``'s result.
-        The default returns ``self`` unchanged.
-        """
-        return self
-
 
 @dataclass(frozen=True)
 class BerSweepTask(SweepTask):
@@ -503,11 +490,11 @@ def _task_fingerprint(task: SweepTask, values: list[float]) -> str:
 
     A cacheable task is identified by its :meth:`SweepTask.cache_parts`,
     so execution choices that give byte-identical results (``serial``
-    or ``fused`` link tiers, a ``MultiAPTask``'s shard count) resume
-    each other's checkpoints, just as they share cache entries.  Other
-    tasks are hashed whole; those that cannot be canonicalised
-    (closures, lambdas) fall back to their type name — weaker, but
-    still catches the common resumed-the-wrong-sweep mistakes.
+    or ``fused`` link tiers) resume each other's checkpoints, just as
+    they share cache entries.  Other tasks are hashed whole; those that
+    cannot be canonicalised (closures, lambdas) fall back to their type
+    name — weaker, but still catches the common resumed-the-wrong-sweep
+    mistakes.
     """
     parts = task.cache_parts()
     identity = {"task": task} if parts is None else parts
@@ -877,7 +864,7 @@ class SweepExecutor:
                     def _submit(i: int) -> Any:
                         future = pool.submit(
                             _compute_point,
-                            task.narrow(vals[i]),
+                            task,
                             vals[i],
                             children[i],
                             i,

@@ -544,10 +544,7 @@ def blockage_burst_plan(
     per-process stream at ``start()``.  In the multi-AP metro stack the
     blockage process is slot 4 of the five fixed process streams
     (mobility, assoc, relay, **blockage**, mac) spawned *before* the
-    per-AP MAC streams — a layout the process-sharded engine hard-codes
-    (``repro.net.shard._N_PROCESS_STREAMS``) so it can reconstruct the
-    per-AP generators without replaying the plan; see
-    :mod:`repro.net.shard`.
+    per-AP MAC streams.
     """
     if duration_s <= 0:
         raise ValueError(f"duration_s must be > 0, got {duration_s}")

@@ -12,8 +12,8 @@ one of the five cacheable task types (:class:`BerSweepTask`,
   flipping its sign: ``0.0 == -0.0``, but ``float.hex`` tells them
   apart, and so may the simulation.
 * Execution-only choices must not change any key: ``serial`` against
-  ``fused`` link backends, ``MultiAPTask.shards``, and the executor
-  backend that runs the sweep.
+  ``fused`` link backends, and the executor backend that runs the
+  sweep.
 * The seed, the point index and the sweep value must each change it.
 
 Every key in this file comes from :func:`_key`, and two tests hold
@@ -94,10 +94,6 @@ _TUPLE_FILL = {
     "blockage_events": BlockageEvent(0.0, 1e-5, 10.0),
 }
 
-#: Fields that change no result: perturbing them must keep the key.
-_EXECUTION_ONLY = {(MultiAPTask, "shards")}
-
-
 def _get(obj, path: tuple):
     for step in path:
         obj = obj[step] if isinstance(step, int) else getattr(obj, step)
@@ -122,8 +118,6 @@ def _paths(obj, prefix: tuple = ()):
     field, each optional dataclass field, each tuple and each tuple
     element, recursing through nested dataclasses."""
     for field in dataclasses.fields(obj):
-        if (type(obj), field.name) in _EXECUTION_ONLY:
-            continue
         path = prefix + (field.name,)
         value = getattr(obj, field.name)
         if dataclasses.is_dataclass(value):
@@ -283,7 +277,6 @@ def _multi_ap_tasks(draw) -> MultiAPTask:
     return MultiAPTask(
         config=config,
         param=draw(st.sampled_from(["num_tags", "num_slots", "ap_spacing_m"])),
-        shards=draw(st.integers(0, 4)),
     )
 
 
@@ -347,16 +340,6 @@ def test_exact_link_backends_share_keys(cache, task, seed, index, value):
     assert len(keys) == 1
     fast = _key(cache, replace(task, link_backend="fast"), seed, index, value)
     assert fast not in keys
-
-
-@settings(max_examples=25, deadline=None)
-@given(_multi_ap_tasks(), _seeds, _indices, _values)
-def test_shard_count_never_changes_the_key(cache, task, seed, index, value):
-    keys = {
-        _key(cache, replace(task, shards=shards), seed, index, value)
-        for shards in (0, 1, 2, 4)
-    }
-    assert len(keys) == 1
 
 
 def test_token_free_function_task_is_uncacheable(cache):

@@ -246,11 +246,59 @@ class TestDeterminism:
         assert report.tags_read == 0
         assert report.frames_delivered == 0
 
+    #: Each config stresses one coupling channel or degenerate layout;
+    #: ``feature`` names the report field that proves the channel fired.
+    @pytest.mark.parametrize(
+        "overrides, feature",
+        [
+            pytest.param(
+                dict(handoff_delay_slots=0, mobile_fraction=0.6,
+                     time_warp=2000.0),
+                None, id="zero_delay_handoff",
+            ),
+            # trigger-to-commit signalling straddles an epoch boundary
+            pytest.param(
+                dict(handoff_delay_slots=75, epoch_slots=50,
+                     mobile_fraction=0.6, time_warp=2000.0),
+                None, id="commit_delay_past_epoch",
+            ),
+            pytest.param(dict(spatial_reuse_factor=1), None, id="reuse_one"),
+            pytest.param(
+                dict(stop_when_drained=False, num_slots=300),
+                None, id="no_drain_stop",
+            ),
+            pytest.param(dict(grid_rows=1, grid_cols=1), None, id="single_ap"),
+            pytest.param(
+                dict(epoch_slots=1, num_slots=120), None, id="epoch_every_slot"
+            ),
+            # persistent keeps the mobile majority contending, so it roams
+            pytest.param(
+                dict(mobile_fraction=0.6, num_slots=800, time_warp=2000.0,
+                     persistent=True),
+                "handoffs", id="roaming",
+            ),
+            # cells don't overlap: tags between them must relay
+            pytest.param(
+                dict(ap_spacing_m=40.0, num_tags=120, num_slots=1500,
+                     relay_range_m=6.0, relay_max_hops=4),
+                "tags_read_relayed", id="relay_sparse",
+            ),
+        ],
+    )
+    def test_coupling_config_reruns_byte_identical(self, overrides, feature):
+        config = _config(**overrides)
+        first = run_multi_ap(config, seed=_SEED)
+        second = run_multi_ap(config, seed=_SEED)
+        assert first.trace_digest == second.trace_digest
+        assert pickle.dumps(first) == pickle.dumps(second)
+        if feature is not None:
+            assert getattr(first, feature) > 0
+
 
 #: Seed-0 golden pins: name -> (config kwargs, the report field that
 #: proves the config exercises its feature, trace digest, sha256 of the
-#: protocol-4 report pickle).  Rerun and serial==sharded checks compare
-#: the code against itself; these compare it against a recorded history,
+#: protocol-4 report pickle).  Rerun checks compare the code against
+#: itself; these compare it against a recorded history,
 #: so an optimisation that shifts both sides of those checks still fails.
 _GOLDEN = {
     "handoff_mobile": (

@@ -12,8 +12,6 @@ The load-bearing contracts:
   strategy pairs and churn/blockage regimes).
 * **Golden per-strategy digests** — each registered strategy's run is
   itself deterministic, pinned by digest.
-* **Sharded parity** — the sharded metro engine accepts the default
-  strategy spellings and loudly rejects everything else.
 * **Sensing accuracy** — noiseless AoA inversion is exact to the 0.25°
   bucket grid; the end-to-end mobile run's median AoA error stays
   within one bucket.
@@ -158,9 +156,10 @@ class TestByteIdentity:
             epoch_slots=50,
         )
         base = run_multi_ap(config, seed=0)
-        named = run_multi_ap(config, seed=0, strategy="adaptive-p")
-        assert base.trace_digest == named.trace_digest
-        assert pickle.dumps(base) == pickle.dumps(named)
+        for spelling in ("adaptive-p", AdaptivePStrategy()):
+            named = run_multi_ap(config, seed=0, strategy=spelling)
+            assert base.trace_digest == named.trace_digest
+            assert pickle.dumps(base) == pickle.dumps(named)
 
 
 class TestGoldenDigests:
@@ -247,38 +246,7 @@ class TestDrawCountStability:
         assert geoms["uniform"] == geoms["asb"]
 
 
-class TestShardParity:
-    def test_sharded_accepts_default_spellings(self):
-        from repro.net.shard import run_multi_ap_sharded
-
-        config = MultiAPConfig(
-            grid_rows=2, grid_cols=2, num_tags=40, num_slots=100,
-            epoch_slots=50,
-        )
-        serial = run_multi_ap(config, seed=0)
-        executor = SweepExecutor("serial")
-        for spelling in (None, "adaptive-p", AdaptivePStrategy()):
-            sharded = run_multi_ap_sharded(
-                config, seed=0, shards=2, executor=executor,
-                strategy=spelling,
-            )
-            assert sharded.trace_digest == serial.trace_digest
-
-    @pytest.mark.parametrize(
-        "bad", ["beb", "uniform", "eied", "fibonacci", "asb"]
-    )
-    def test_sharded_rejects_non_default_loudly(self, bad):
-        from repro.net.shard import run_multi_ap_sharded
-
-        config = MultiAPConfig(
-            grid_rows=2, grid_cols=2, num_tags=40, num_slots=100,
-        )
-        with pytest.raises(ValueError, match="adaptive-p"):
-            run_multi_ap_sharded(
-                config, seed=0, shards=2,
-                executor=SweepExecutor("serial"), strategy=bad,
-            )
-
+class TestStrategyGuards:
     def test_strategy_rejected_for_non_aloha_protocols(self):
         config = NetSimConfig(
             num_tags=10, num_slots=50, protocol="inventory"

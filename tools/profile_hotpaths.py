@@ -6,9 +6,9 @@ identical inputs, prints the speedup table and writes the
 ``BENCH_hotpaths.json`` perf-trajectory file.  The "before" sides are
 the original loops kept in ``tests/reference_kernels.py`` or
 production paths that still serve as references (the serial link
-chain, ``Tag.make_frame``, ``VanAttaArray.monostatic_gain``,
-``run_multi_ap``).  ``tests/test_hotpath_bench.py`` loosely asserts
-the headline speedups from the same harness.
+chain, ``Tag.make_frame``, ``VanAttaArray.monostatic_gain``).
+``tests/test_hotpath_bench.py`` loosely asserts the headline speedups
+from the same harness.
 
 Usage::
 
@@ -83,10 +83,7 @@ from repro.core.link import LinkConfig, simulate_link  # noqa: E402
 from repro.core.tag import Tag  # noqa: E402
 from repro.dsp.signal import Signal  # noqa: E402
 from repro.em.vanatta import VanAttaArray  # noqa: E402
-from repro.net.deployment import MultiAPConfig, run_multi_ap  # noqa: E402
-from repro.net.shard import run_multi_ap_sharded  # noqa: E402
 from repro.sim.batch import BatchLinkSimulator  # noqa: E402
-from repro.sim.executor import SweepExecutor  # noqa: E402
 from repro.sim.fastlink import FastLinkSimulator  # noqa: E402
 from repro.sim.jit import numba_status  # noqa: E402
 from repro.sim.results import ResultTable  # noqa: E402
@@ -399,59 +396,6 @@ def _bench_link_fast_tier(quick: bool) -> KernelBench:
     )
 
 
-def _bench_netsim_event_engine(quick: bool) -> KernelBench:
-    """Metro MAC at scale: serial engine vs sharded plan/execute/replay.
-
-    Both engines produce byte-identical reports (pinned by
-    tests/test_net_shard.py); only the wall clock differs.  The sharded
-    path runs here on a serial-backend coordinator — one process — so
-    the measured ratio is (hot-path savings from the draw-free planner
-    + O(records) replay) net of the coordination overhead, which lands
-    near 0.7x.  The multi-core speedup from fanning the shard-epochs over
-    a process pool is E22's claim, not this kernel's: a pool ratio on a
-    1-CPU runner would measure fork overhead, not the engine.
-    """
-    num_tags = 50_000 if quick else 200_000
-    num_slots = 300 if quick else 800
-    repeats = 2
-    config = MultiAPConfig(
-        num_tags=num_tags,
-        num_slots=num_slots,
-        epoch_slots=num_slots,
-        grid_rows=3,
-        grid_cols=3,
-        ap_spacing_m=8.0,
-    )
-
-    reference_s, vectorized_s = _best_of_pair(
-        lambda: run_multi_ap(config, seed=0),
-        lambda: run_multi_ap_sharded(
-            config, seed=0, shards=3, executor=SweepExecutor("serial")
-        ),
-        repeats,
-    )
-    events = run_multi_ap(config, seed=0).events_processed
-    return KernelBench(
-        name="netsim_event_engine",
-        description=(
-            f"{num_tags}-tag 3x3-AP metro MAC: serial engine vs sharded "
-            "plan/execute/replay on a single-process coordinator "
-            "(byte-identical output; multi-core pool speedup is E22)"
-        ),
-        reference_s=reference_s,
-        vectorized_s=vectorized_s,
-        repeats=repeats,
-        params={
-            "num_tags": num_tags,
-            "num_slots": num_slots,
-            "shards": 3,
-            "events_processed": events,
-            "serial_events_per_s": round(events / reference_s, 1),
-            "sharded_events_per_s": round(events / vectorized_s, 1),
-        },
-    )
-
-
 def _bench_vanatta(quick: bool) -> KernelBench:
     """Van Atta monostatic pattern: per-angle loop vs broadcast grid."""
     num_angles = 361 if quick else 1441
@@ -483,7 +427,6 @@ _BENCHES = (
     _bench_link_end_to_end_fused,
     _bench_link_rician_end_to_end_fused,
     _bench_link_fast_tier,
-    _bench_netsim_event_engine,
     _bench_vanatta,
 )
 
